@@ -27,6 +27,8 @@ def advanced_greedy(
     the blocker is the vertex with the maximum estimated spread decrease
     (ties -> smallest local id, via ``np.argmax``).
     """
+    if b < 0:
+        raise ValueError("b must be non-negative")
     blocked = np.zeros(g.n, dtype=bool)
     B: list[int] = []
     for rnd in range(min(b, g.n - 1)):

@@ -57,6 +57,10 @@ def baseline_greedy(
     vertex, as in the paper). With ``spark``, each round's sweep is one
     Spark job with candidates partitioned across executors.
     """
+    if b < 0:
+        raise ValueError("b must be non-negative")
+    if r <= 0:
+        raise ValueError("r must be positive")
     blocked = np.zeros(g.n, dtype=bool)
     B: list[int] = []
     all_cands = (
@@ -85,9 +89,7 @@ def baseline_greedy(
                         {"cand": list(got), "spread": list(got.values())}
                     )
 
-            cdf = spark.createDataFrame(
-                pd.DataFrame({"cand": cands})
-            ).repartition(spark.sparkContext.defaultParallelism)
+            cdf = spark.createDataFrame(pd.DataFrame({"cand": cands}))
             out = cdf.mapInPandas(fn, "cand long, spread double").toPandas()
             spreads = dict(zip(out["cand"], out["spread"]))
         # max decrease == min resulting spread; ties -> smallest local id

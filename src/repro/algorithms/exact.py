@@ -81,6 +81,10 @@ def exact_blockers(
     spread function is monotone in B, only combinations of exactly
     ``min(b, #candidates)`` vertices need to be scored.
     """
+    if b < 0:
+        raise ValueError("b must be non-negative")
+    if theta <= 0:
+        raise ValueError("theta must be positive")
     cands = (
         [u for u in range(g.n) if u != g.seed]
         if candidates is None
@@ -108,7 +112,7 @@ def exact_blockers(
             pd.DataFrame(
                 {"cid": range(len(combos)), "combo": [list(c) for c in combos]}
             )
-        ).repartition(spark.sparkContext.defaultParallelism)
+        )
         out = cdf.mapInPandas(fn, "cid long, spread double").toPandas()
         spreads = [0.0] * len(combos)
         for cid, sp in zip(out["cid"], out["spread"]):

@@ -64,6 +64,8 @@ def greedy_replace(
     selection sequence with the same ``(theta, seed)``; its first
     ``min(d_out(s), b)`` entries are used verbatim.
     """
+    if b < 0:
+        raise ValueError("b must be non-negative")
     s = g.seed
     if phase1_order is None:
         B = phase1_out_neighbors(g, b, theta=theta, seed=seed, spark=spark)

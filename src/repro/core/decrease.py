@@ -80,8 +80,7 @@ def decrease_es(
         yield pd.DataFrame({"vertex": nz.astype(np.int64), "total": delta[nz]})
 
     out = (
-        spark.range(int(theta))
-        .repartition(spark.sparkContext.defaultParallelism)
+        spark.range(0, int(theta), 1, spark.sparkContext.defaultParallelism)
         .mapInPandas(fn, "vertex long, total double")
         .toPandas()
     )

@@ -22,14 +22,19 @@ import numpy as np
 def _adjacency(n: int, edges: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        succ[int(u)].append(int(v))
-        pred[int(v)].append(int(u))
+    # Two flat int lists, not one list per edge row: fewer objects for the
+    # cyclic garbage collector to track.
+    for u, v in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
+        succ[u].append(v)
+        pred[v].append(u)
     return succ, pred
 
 
 def lengauer_tarjan(n: int, edges: np.ndarray, root: int) -> np.ndarray:
     """Immediate dominators of every vertex w.r.t. ``root``.
+
+    The state lives in Python lists, because indexing a numpy array with a
+    scalar costs several times more per step.
 
     Args:
         n: vertex count (ids ``0..n-1``).
@@ -42,62 +47,62 @@ def lengauer_tarjan(n: int, edges: np.ndarray, root: int) -> np.ndarray:
     """
     succ, pred = _adjacency(n, edges)
 
-    semi = np.zeros(n, dtype=np.int64)          # 0 = unvisited; else DFS number
-    vertex = np.zeros(n + 1, dtype=np.int64)    # DFS number -> vertex
-    parent = np.full(n, -1, dtype=np.int64)     # DFS-tree parent
-    ancestor = np.full(n, -1, dtype=np.int64)   # forest for EVAL/LINK
-    label = np.arange(n, dtype=np.int64)
-    dom = np.full(n, -1, dtype=np.int64)
+    semi = [0] * n              # 0 = unvisited; else DFS number
+    vertex = [0] * (n + 1)      # DFS number -> vertex
+    parent = [-1] * n           # DFS-tree parent
+    ancestor = [-1] * n         # forest for EVAL/LINK
+    label = list(range(n))
+    dom = [-1] * n
     buckets: list[list[int]] = [[] for _ in range(n)]
 
     # --- step 1: iterative DFS numbering -------------------------------
-    cnt = 0
-    stack: list[tuple[int, int]] = [(root, 0)]
-    cnt += 1
+    cnt = 1
     semi[root] = cnt
     vertex[cnt] = root
+    stack = [(root, iter(succ[root]))]
     while stack:
-        v, i = stack.pop()
-        if i < len(succ[v]):
-            stack.append((v, i + 1))
-            w = succ[v][i]
+        v, it = stack[-1]
+        for w in it:
             if semi[w] == 0:
                 parent[w] = v
                 cnt += 1
                 semi[w] = cnt
                 vertex[cnt] = w
-                stack.append((w, 0))
+                stack.append((w, iter(succ[w])))
+                break
+        else:
+            stack.pop()
     n_reached = cnt
 
-    def compress(v: int) -> None:
+    def evaluate(v: int) -> int:
+        if ancestor[v] == -1:
+            return v
         # Iterative path compression along the ancestor forest.
         path = []
-        while ancestor[ancestor[v]] != -1:
-            path.append(v)
-            v = ancestor[v]
+        x = v
+        while ancestor[ancestor[x]] != -1:
+            path.append(x)
+            x = ancestor[x]
         for u in reversed(path):
             a = ancestor[u]
             if semi[label[a]] < semi[label[u]]:
                 label[u] = label[a]
             ancestor[u] = ancestor[a]
-
-    def evaluate(v: int) -> int:
-        if ancestor[v] == -1:
-            return v
-        compress(v)
-        return int(label[v])
+        return label[v]
 
     # --- steps 2 & 3: semidominators and partial dominators ------------
     for i in range(n_reached, 1, -1):
-        w = int(vertex[i])
+        w = vertex[i]
+        sw = semi[w]
         for v in pred[w]:
             if semi[v] == 0:  # predecessor unreachable from root
                 continue
-            u = evaluate(v)
-            if semi[u] < semi[w]:
-                semi[w] = semi[u]
-        buckets[int(vertex[semi[w]])].append(w)
-        p = int(parent[w])
+            su = semi[evaluate(v)]
+            if su < sw:
+                sw = su
+        semi[w] = sw
+        buckets[vertex[sw]].append(w)
+        p = parent[w]
         ancestor[w] = p  # LINK(parent[w], w)
         for v in buckets[p]:
             u = evaluate(v)
@@ -106,11 +111,11 @@ def lengauer_tarjan(n: int, edges: np.ndarray, root: int) -> np.ndarray:
 
     # --- step 4: finalize in DFS order ---------------------------------
     for i in range(2, n_reached + 1):
-        w = int(vertex[i])
+        w = vertex[i]
         if dom[w] != vertex[semi[w]]:
             dom[w] = dom[dom[w]]
     dom[root] = root
-    return dom
+    return np.asarray(dom, dtype=np.int64)
 
 
 def subtree_sizes(idom: np.ndarray, root: int) -> np.ndarray:
@@ -119,24 +124,19 @@ def subtree_sizes(idom: np.ndarray, root: int) -> np.ndarray:
     Unreachable vertices (``idom == -1``) get size 0; the root's size is
     the number of reachable vertices (i.e. ``σ(s, g)``, Lemma 1).
     """
-    n = idom.shape[0]
-    sizes = np.where(idom >= 0, 1, 0).astype(np.int64)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != root and idom[v] >= 0:
-            children[int(idom[v])].append(v)
-    # Iterative post-order accumulation.
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            for c in children[v]:
-                sizes[v] += sizes[c]
-        else:
-            stack.append((v, True))
-            for c in children[v]:
-                stack.append((c, False))
-    return sizes
+    parent = idom.tolist()
+    children: list[list[int]] = [[] for _ in parent]
+    for v, d in enumerate(parent):
+        if d >= 0 and v != root:
+            children[d].append(v)
+    # Preorder (parents before children), then accumulate in reverse.
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    sizes = [1 if d >= 0 else 0 for d in parent]
+    for v in reversed(order[1:]):
+        sizes[parent[v]] += sizes[v]
+    return np.asarray(sizes, dtype=np.int64)
 
 
 def brute_force_idom(n: int, edges: np.ndarray, root: int) -> np.ndarray:

@@ -9,6 +9,10 @@ only, so we sample lazily during the BFS: edges out of never-reached
 vertices are never drawn. This is why the cost per sample tracks the
 spread, which the paper leans on in §VI-C ("the running time of Algorithm 2
 is highly related to the size of sampled graphs").
+
+The BFS runs level by level, one coin batch per level; the order in which
+coins are drawn (the draw-order contract in :func:`sample_reachable`) is
+what makes a ``(seed, sample_id)`` stream reproducible.
 """
 from __future__ import annotations
 
@@ -24,6 +28,18 @@ def sample_reachable(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sampled graph, restricted to vertices reachable from the seed.
 
+    The BFS is level-synchronous: each level gathers every out-edge of its
+    frontier from the CSR and flips all their coins with one
+    ``rng.random(total)`` call.
+
+    Draw-order contract: coins are drawn level by level; within a level in
+    frontier order, and within a frontier vertex in CSR order. Every
+    out-edge of a reached vertex consumes one draw, including edges into
+    blocked or already-reached vertices. A float64 ``Generator.random``
+    call does not buffer, so one call of size ``total`` returns the same
+    numbers as one call per frontier vertex; the output is a function of
+    this order only and is fixed for a ``(seed, sample_id)`` stream.
+
     Args:
         g: the graph (CSR).
         rng: per-sample random generator.
@@ -34,47 +50,43 @@ def sample_reachable(
     Returns:
         ``(vertices, edges)``: reached vertex ids (seed first, BFS order)
         and the sampled edges among them as an ``(k, 2)`` array. Both use
-        the graph's local ids. Every sampled edge whose endpoints are both
+        the graph's local ids. Within a level, new vertices are ordered by
+        the first frontier position that reached them, then by id; edges
+        follow the draw order. Every sampled edge whose endpoints are both
         reached is included (parallel paths matter for dominators).
     """
     seed = g.seed
     if blocked is not None and blocked[seed]:
         raise ValueError("seed cannot be blocked")
+    indptr, indices, probs = g.indptr, g.indices, g.probs
     reached = np.zeros(g.n, dtype=bool)
     reached[seed] = True
-    order = [seed]
-    frontier = [seed]
+    frontier = np.array([seed], dtype=np.int64)
+    levels = [frontier]
     edges_src: list[np.ndarray] = []
     edges_dst: list[np.ndarray] = []
-    while frontier:
-        next_frontier: list[int] = []
-        for u in frontier:
-            heads, probs = g.out_edges(u)
-            if heads.size == 0:
-                continue
-            keep = rng.random(heads.size) < probs
-            if blocked is not None:
-                keep &= ~blocked[heads]
-            heads = heads[keep]
-            if heads.size == 0:
-                continue
-            edges_src.append(np.full(heads.size, u, dtype=np.int64))
-            edges_dst.append(heads)
-            new = heads[~reached[heads]]
-            if new.size:
-                # np.unique: a vertex may appear twice in one batch
-                new = np.unique(new)
-                reached[new] = True
-                order.extend(int(v) for v in new)
-                next_frontier.extend(int(v) for v in new)
-        frontier = next_frontier
-    verts = np.asarray(order, dtype=np.int64)
-    if edges_src:
-        es = np.concatenate(edges_src)
-        ed = np.concatenate(edges_dst)
-        edges = np.stack([es, ed], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    while frontier.size:
+        starts = indptr[frontier]
+        degs = indptr[frontier + 1] - starts
+        total = int(degs.sum())
+        # CSR positions of the frontier's out-edges, frontier by frontier.
+        pos = np.arange(total) + np.repeat(starts - (np.cumsum(degs) - degs), degs)
+        heads = indices[pos]
+        keep = rng.random(total) < probs[pos]
+        if blocked is not None:
+            keep &= ~blocked[heads]
+        tail_pos = np.repeat(np.arange(frontier.size), degs)[keep]
+        heads = heads[keep]
+        edges_src.append(frontier[tail_pos])
+        edges_dst.append(heads)
+        new = ~reached[heads]
+        # First occurrence of each new vertex = first frontier vertex to reach it.
+        fresh, first = np.unique(heads[new], return_index=True)
+        frontier = fresh[np.lexsort((fresh, tail_pos[new][first]))]
+        reached[frontier] = True
+        levels.append(frontier)
+    verts = np.concatenate(levels)
+    edges = np.stack([np.concatenate(edges_src), np.concatenate(edges_dst)], axis=1)
     return verts, edges
 
 

@@ -101,6 +101,8 @@ def mcs_spread(
     per-sample kernel and the same ``(seed, sample_id)`` RNG streams, so
     they return bit-identical results.
     """
+    if r <= 0:
+        raise ValueError("r must be positive")
     if spark is None:
         total, cnt = _mcs_partition(g, blocked, seed, range(r))
         return total / cnt
@@ -119,8 +121,7 @@ def mcs_spread(
         yield pd.DataFrame({"total": [total], "cnt": [cnt]})
 
     out = (
-        spark.range(int(r))
-        .repartition(spark.sparkContext.defaultParallelism)
+        spark.range(0, int(r), 1, spark.sparkContext.defaultParallelism)
         .mapInPandas(fn, "total long, cnt long")
         .toPandas()
     )

@@ -191,3 +191,26 @@ def test_gr_distributed_matches_local(spark, toy):
     local = greedy_replace(toy, 2, theta=300, seed=6)
     dist = greedy_replace(toy, 2, theta=300, seed=6, spark=spark)
     assert local == dist
+
+
+# ---------------- bad input fails loudly, on both paths -----------------
+@pytest.fixture(params=["driver", "spark"])
+def maybe_spark(request):
+    return None if request.param == "driver" else request.getfixturevalue("spark")
+
+
+@pytest.mark.parametrize(
+    "select",
+    [
+        lambda g, sp: advanced_greedy(g, -1, theta=THETA, spark=sp),
+        lambda g, sp: greedy_replace(g, -1, theta=THETA, spark=sp),
+        lambda g, sp: baseline_greedy(g, -1, r=10, spark=sp),
+        lambda g, sp: exact_blockers(g, -1, theta=10, spark=sp),
+        lambda g, sp: baseline_greedy(g, 1, r=0, spark=sp),
+        lambda g, sp: exact_blockers(g, 1, theta=0, spark=sp),
+    ],
+    ids=["ag_b", "gr_b", "bg_b", "exact_b", "bg_r", "exact_theta"],
+)
+def test_bad_budget_or_sample_count_raises(toy, maybe_spark, select):
+    with pytest.raises(ValueError):
+        select(toy, maybe_spark)

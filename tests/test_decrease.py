@@ -1,10 +1,18 @@
 """Tests for Algorithm 2 (DecreaseESComputation) — Example 2 numbers."""
+import json
+from pathlib import Path
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.decrease import decrease_es, decrease_es_exact
 from repro.core.spread import exact_spread
+from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_local_graph
+
+#: Driver-local Δ recorded before the per-sample kernels were vectorised.
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_delta.json"
 
 #: Example 2 / Example 1 exact spread decreases per blocked vertex.
 EXACT_DELTAS = {
@@ -86,3 +94,37 @@ def test_distributed_with_blockers(spark, toy):
     local = decrease_es(toy, theta=400, seed=4, blocked=blocked)
     dist = decrease_es(toy, theta=400, seed=4, blocked=blocked, spark=spark)
     np.testing.assert_allclose(dist, local, atol=1e-12)
+
+
+def golden_graph() -> LocalGraph:
+    """300-vertex random digraph, p ∈ {0, .05, .1, .2, .5, 1}, seed 0.
+
+    About 220 vertices are reached per sample and most samples are not
+    trees, so sampling, Lengauer-Tarjan and subtree sizes all do real work.
+    """
+    rng = np.random.default_rng(20230403)
+    n, m = 300, 2400
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n, size=m)
+    p = rng.choice(
+        [0.0, 0.05, 0.1, 0.2, 0.5, 1.0],
+        size=m,
+        p=[0.05, 0.2, 0.25, 0.25, 0.15, 0.1],
+    )
+    src[:8] = 0
+    pdf = pd.DataFrame({"src": src, "dst": dst, "p": p})
+    pdf = pdf[pdf.src != pdf.dst].drop_duplicates(["src", "dst"])
+    return LocalGraph.from_pandas(pdf, seed_vertex=0)
+
+
+def test_golden_delta_unchanged():
+    """Δ is bit-identical to the recorded fixture, with and without blockers."""
+    want = json.loads(GOLDEN.read_text())
+    g = golden_graph()
+    blocked = np.zeros(g.n, dtype=bool)
+    blocked[want["blocked"]] = True
+    kw = dict(theta=want["theta"], seed=want["seed"])
+    assert np.array_equal(decrease_es(g, **kw), np.asarray(want["delta"]))
+    assert np.array_equal(
+        decrease_es(g, blocked=blocked, **kw), np.asarray(want["delta_blocked"])
+    )

@@ -1,13 +1,20 @@
-"""Lengauer-Tarjan dominator trees vs the brute-force oracle.
+"""Lengauer-Tarjan dominator trees vs the brute-force and networkx oracles.
 
 Includes the paper's Fig. 4 dominator trees of the toy graph's sampled
-graphs, plus hypothesis property tests on random digraphs.
+graphs, hypothesis property tests on random digraphs (brute force, up to
+12 vertices), and ``networkx.immediate_dominators`` on random digraphs of
+up to 10^3 vertices and on sampled Facebook-like subgraphs.
 """
+import networkx as nx
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dominator import brute_force_idom, lengauer_tarjan, subtree_sizes
+from repro.core.sampling import sample_reachable, sample_rng
+from repro.graphs.datasets import generate_edges
+from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_local_graph
 
 # --- toy graph: Fig. 3 sampled graphs and Fig. 4 dominator trees --------
@@ -133,3 +140,72 @@ def test_root_subtree_equals_reachable_count(g):
     idom = lengauer_tarjan(n, edges, 0)
     sizes = subtree_sizes(idom, 0)
     assert sizes[0] == reachable_from(n, edges, 0).sum()
+
+
+# --- networkx oracle on larger graphs ------------------------------------
+
+
+def nx_idom(n, edges, root):
+    G = nx.DiGraph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges.tolist())
+    idom = np.full(n, -1, dtype=np.int64)
+    for v, d in nx.immediate_dominators(G, root).items():
+        idom[v] = d
+    idom[root] = root  # networkx >= 3.5 leaves the start out of the dict
+    return idom
+
+
+def nx_subtree_sizes(idom, root):
+    """|{v} ∪ descendants(v)| in the dominator tree, via networkx."""
+    T = nx.DiGraph()
+    T.add_nodes_from(np.nonzero(idom >= 0)[0].tolist())
+    T.add_edges_from((int(d), v) for v, d in enumerate(idom) if d >= 0 and v != root)
+    sizes = np.zeros(idom.shape[0], dtype=np.int64)
+    for v in T.nodes:
+        sizes[v] = 1 + len(nx.descendants(T, v))
+    return sizes
+
+
+def assert_matches_networkx(n, edges, root):
+    idom = lengauer_tarjan(n, edges, root)
+    want = nx_idom(n, edges, root)
+    np.testing.assert_array_equal(idom, want)
+    np.testing.assert_array_equal(subtree_sizes(idom, root), nx_subtree_sizes(want, root))
+
+
+@pytest.mark.parametrize("n, deg", [(30, 1.5), (200, 2.0), (1000, 1.2), (1000, 3.0)])
+@pytest.mark.parametrize("gseed", range(3))
+def test_lt_matches_networkx_random(n, deg, gseed):
+    """Random digraphs with self-loops, duplicates and unreachable parts."""
+    rng = np.random.default_rng((gseed, n))
+    edges = rng.integers(0, n, size=(int(deg * n), 2))
+    assert_matches_networkx(n, edges, int(rng.integers(n)))
+
+
+@pytest.fixture(scope="module")
+def facebook_tr():
+    """Facebook at half scale, TR probabilities, 10 seeds merged into one."""
+    n, e = generate_edges("Facebook", scale=0.5, seed=0)
+    rng = np.random.default_rng(3)
+    p = rng.choice([0.1, 0.01, 0.001], size=e.shape[0])
+    seeds = rng.choice(n, size=10, replace=False)
+    src, dst = e[:, 0].copy(), e[:, 1]
+    keep = ~np.isin(dst, seeds)
+    src[np.isin(src, seeds)] = -1
+    pdf = pd.DataFrame({"src": src[keep], "dst": dst[keep], "p": p[keep]})
+    return LocalGraph.from_pandas(pdf.drop_duplicates(["src", "dst"]), seed_vertex=-1)
+
+
+@pytest.mark.parametrize("sid", range(4))
+def test_lt_matches_networkx_on_sampled_facebook(facebook_tr, sid):
+    """Compacted sampled subgraphs, exactly as ``decrease_es`` builds them."""
+    g = facebook_tr
+    verts, edges = sample_reachable(g, sample_rng(0, sid))
+    assert verts.shape[0] > 1000  # ~1.2k reached, about half with >1 in-edge
+    sorted_vs = np.sort(verts)
+    assert_matches_networkx(
+        verts.shape[0],
+        np.searchsorted(sorted_vs, edges),
+        int(np.searchsorted(sorted_vs, g.seed)),
+    )

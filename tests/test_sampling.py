@@ -1,5 +1,6 @@
 """Tests for lazy sampled-reachable-subgraph generation."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,6 @@ from repro.core.sampling import (
 )
 from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_local_graph
-import pandas as pd
 
 
 def test_deterministic_per_sample_id():
@@ -129,3 +129,105 @@ def test_sampled_edges_are_subset_with_correct_reachability(g, sid):
             if p > 0:
                 real.add((u, int(h)))
     assert pairs <= real
+
+
+# --- oracle: the per-vertex BFS that the level-synchronous sampler replaced
+
+
+def per_vertex_bfs(g, rng, blocked=None):
+    """Reference sampler: one ``rng.random`` call per frontier vertex."""
+    seed = g.seed
+    reached = np.zeros(g.n, dtype=bool)
+    reached[seed] = True
+    order = [seed]
+    frontier = [seed]
+    edges_src, edges_dst = [], []
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            heads, probs = g.out_edges(u)
+            if heads.size == 0:
+                continue
+            keep = rng.random(heads.size) < probs
+            if blocked is not None:
+                keep &= ~blocked[heads]
+            heads = heads[keep]
+            if heads.size == 0:
+                continue
+            edges_src.append(np.full(heads.size, u, dtype=np.int64))
+            edges_dst.append(heads)
+            new = heads[~reached[heads]]
+            if new.size:
+                new = np.unique(new)
+                reached[new] = True
+                order.extend(int(v) for v in new)
+                next_frontier.extend(int(v) for v in new)
+        frontier = next_frontier
+    verts = np.asarray(order, dtype=np.int64)
+    if edges_src:
+        edges = np.stack([np.concatenate(edges_src), np.concatenate(edges_dst)], axis=1)
+    else:
+        edges = np.empty((0, 2), dtype=np.int64)
+    return verts, edges
+
+
+def random_graph(gseed, n, m, ps):
+    rng = np.random.default_rng((gseed, 0x5A))
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n, size=m)
+    src[: m // 50 + 2] = 0  # give the seed a fan-out like a merged super-seed
+    pdf = pd.DataFrame({"src": src, "dst": dst, "p": rng.choice(ps, size=m)})
+    pdf = pdf[pdf.src != pdf.dst].drop_duplicates(["src", "dst"])
+    return LocalGraph.from_pandas(pdf, seed_vertex=0)
+
+
+def assert_matches_oracle(g, streams, blocked=None):
+    for master, sid in streams:
+        got = sample_reachable(g, sample_rng(master, sid), blocked)
+        want = per_vertex_bfs(g, sample_rng(master, sid), blocked)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, (master, sid)
+            np.testing.assert_array_equal(a, b, err_msg=f"stream {(master, sid)}")
+
+
+STREAMS = [(master, sid) for master in (0, 1, 7_919) for sid in range(40)]
+
+
+@pytest.mark.parametrize(
+    "gseed, n, m, ps",
+    [
+        (0, 300, 2400, [0.05, 0.1, 0.2, 0.5]),       # dense, non-tree samples
+        (1, 300, 1200, [0.0, 0.3, 1.0]),             # p in {0, 1} mixed in
+        (2, 60, 400, [0.0, 1.0]),                    # deterministic coins only
+        (3, 2000, 8000, [0.01, 0.1, 0.3]),           # deep, sparse levels
+    ],
+)
+@pytest.mark.parametrize("with_blocked", [False, True])
+def test_level_sync_matches_per_vertex_bfs(gseed, n, m, ps, with_blocked):
+    g = random_graph(gseed, n, m, ps)
+    blocked = None
+    if with_blocked:
+        blocked = np.random.default_rng(gseed).random(g.n) < 0.1
+        blocked[g.seed] = False
+    assert_matches_oracle(g, STREAMS, blocked)
+
+
+def test_level_sync_matches_per_vertex_bfs_on_toy():
+    g = toy_local_graph()
+    assert_matches_oracle(g, STREAMS)
+    blocked = np.zeros(g.n, dtype=bool)
+    blocked[g.to_local(9)] = True
+    assert_matches_oracle(g, STREAMS, blocked)
+
+
+def test_vertex_reached_twice_in_one_level():
+    """New vertices are ordered by first reaching frontier vertex, then id."""
+    pdf = pd.DataFrame(
+        [(0, 1), (0, 2), (1, 5), (1, 4), (2, 3), (2, 4)], columns=["src", "dst"]
+    ).assign(p=1.0)
+    g = LocalGraph.from_pandas(pdf, seed_vertex=0)
+    verts, edges = sample_reachable(g, sample_rng(0, 0))
+    # 4 is reached from 1 and from 2; it belongs to 1's batch, before 3.
+    assert verts.tolist() == [0, 1, 2, 4, 5, 3]
+    assert edges.tolist() == [[0, 1], [0, 2], [1, 4], [1, 5], [2, 3], [2, 4]]
+    assert_matches_oracle(g, [(0, 0)])

@@ -123,3 +123,11 @@ def test_mcs_distributed_matches_local(spark, toy):
 def test_mcs_distributed_with_blockers(spark, toy):
     est = mcs_spread(toy, r=400, seed=5, blocked=_blocked(toy, [5]), spark=spark)
     assert est == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("r", [0, -3])
+def test_mcs_nonpositive_r_raises(spark, toy, r):
+    """Driver and Spark paths both refuse r <= 0 instead of returning nan."""
+    for sp in (None, spark):
+        with pytest.raises(ValueError):
+            mcs_spread(toy, r=r, spark=sp)
