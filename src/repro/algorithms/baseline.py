@@ -5,8 +5,9 @@
   Monte-Carlo simulation the expected spread after blocking each remaining
   candidate, and block the candidate minimizing it (equivalently,
   maximizing the spread decrease). O(b·n·r·m): the per-candidate MCS is
-  what AG's dominator-tree estimator eliminates. The per-round candidate
-  sweep is distributed over executors when ``spark`` is given.
+  what AG's dominator-tree estimator eliminates. Each round's candidate
+  sweep runs through :func:`repro.core.runner.map_sum`, candidate ``i``
+  written at index ``i``.
 * **Rand (RA)** — ``b`` uniform random non-seed vertices.
 * **OutDegree (OD)** — the ``b`` highest out-degree non-seed vertices.
 
@@ -16,30 +17,12 @@ spread computation); BG operates on a merged ``LocalGraph`` like AG/GR.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.sampling import sample_reachable, sample_rng
+from repro.core.runner import map_sum
+from repro.core.spread import _mcs_partition
 from repro.graphs.localgraph import LocalGraph
-
-
-def _mean_spread(g: LocalGraph, blocked: np.ndarray, r: int, master: int) -> float:
-    total = 0
-    for i in range(r):
-        total += sample_reachable(g, sample_rng(master, i), blocked)[0].shape[0]
-    return total / r
-
-
-def _candidate_spreads(
-    g: LocalGraph, blocked: np.ndarray, cands: list[int], r: int, master: int
-) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for u in cands:
-        b = blocked.copy()
-        b[u] = True
-        out[u] = _mean_spread(g, b, r, master * 1_000_003 + u)
-    return out
 
 
 def baseline_greedy(
@@ -54,8 +37,8 @@ def baseline_greedy(
     """Algorithm 1. Returns blocker *local ids* in selection order.
 
     ``candidates`` restricts the per-round sweep (default: every non-seed
-    vertex, as in the paper). With ``spark``, each round's sweep is one
-    Spark job with candidates partitioned across executors.
+    vertex, as in the paper). Each round's sweep is one kernel run, on the
+    driver or as one Spark job.
     """
     if b < 0:
         raise ValueError("b must be non-negative")
@@ -73,25 +56,19 @@ def baseline_greedy(
         if not cands:
             break
         master = seed * 7_919 + rnd
-        if spark is None:
-            spreads = _candidate_spreads(g, blocked, cands, r, master)
-        else:
-            bc = g.broadcast(spark)
-            blocked_l = blocked.copy()
 
-            def fn(batches):
-                lg = bc.value
-                for pdf in batches:
-                    got = _candidate_spreads(
-                        lg, blocked_l, pdf["cand"].tolist(), r, master
-                    )
-                    yield pd.DataFrame(
-                        {"cand": list(got), "spread": list(got.values())}
-                    )
+        def kernel(lg, ids):
+            """MCS spread after also blocking ``cands[i]``, at index ``i``."""
+            out = np.zeros(len(cands), dtype=np.float64)
+            for i in ids:
+                u = cands[i]
+                bl = blocked.copy()
+                bl[u] = True
+                out[i] = _mcs_partition(lg, bl, master * 1_000_003 + u, range(r)) / r
+            return out
 
-            cdf = spark.createDataFrame(pd.DataFrame({"cand": cands}))
-            out = cdf.mapInPandas(fn, "cand long, spread double").toPandas()
-            spreads = dict(zip(out["cand"], out["spread"]))
+        got = map_sum(kernel, len(cands), len(cands), g=g, spark=spark)
+        spreads = dict(zip(cands, got))
         # max decrease == min resulting spread; ties -> smallest local id
         x = min(cands, key=lambda u: (spreads[u], u))
         B.append(x)

@@ -12,16 +12,18 @@ that design with two substitutions (DESIGN.md §5.3):
   adjacency matrices form a ``(θ, n, n)`` tensor and frontier expansion is
   a batched matmul across all samples at once.
 
-Combinations are partitioned across executors when ``spark`` is given.
-Exponential in ``b`` — small graphs only (Tables V/VI).
+Combination ``i`` is scored at index ``i`` by one kernel run through
+:func:`repro.core.runner.map_sum`, on the driver or as one Spark job (the
+presampled tensor travels in the kernel's closure). Exponential in ``b`` —
+small graphs only (Tables V/VI).
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
-import pandas as pd
 
+from repro.core.runner import map_sum
 from repro.core.sampling import sample_full, sample_rng
 from repro.graphs.localgraph import LocalGraph
 
@@ -59,12 +61,6 @@ def shared_sample_spread(
     return float(R.sum() / theta)
 
 
-def _eval_combos(
-    A: np.ndarray, seed_vertex: int, combos: list[tuple[int, ...]]
-) -> list[float]:
-    return [shared_sample_spread(A, seed_vertex, list(c)) for c in combos]
-
-
 def exact_blockers(
     g: LocalGraph,
     b: int,
@@ -95,27 +91,13 @@ def exact_blockers(
     if len(combos) > MAX_COMBOS:
         raise ValueError(f"{len(combos)} combinations > {MAX_COMBOS}")
     A = presample_adjacency(g, theta=theta, seed=seed)
-    if spark is None:
-        spreads = _eval_combos(A, g.seed, combos)
-    else:
-        bc = spark.sparkContext.broadcast((A, g.seed))
 
-        def fn(batches):
-            A_l, s_l = bc.value
-            for pdf in batches:
-                cs = [tuple(c) for c in pdf["combo"]]
-                yield pd.DataFrame(
-                    {"cid": pdf["cid"], "spread": _eval_combos(A_l, s_l, cs)}
-                )
+    def kernel(lg, ids):
+        out = np.zeros(len(combos), dtype=np.float64)
+        for i in ids:
+            out[i] = shared_sample_spread(A, lg.seed, list(combos[i]))
+        return out
 
-        cdf = spark.createDataFrame(
-            pd.DataFrame(
-                {"cid": range(len(combos)), "combo": [list(c) for c in combos]}
-            )
-        )
-        out = cdf.mapInPandas(fn, "cid long, spread double").toPandas()
-        spreads = [0.0] * len(combos)
-        for cid, sp in zip(out["cid"], out["spread"]):
-            spreads[int(cid)] = float(sp)
+    spreads = map_sum(kernel, len(combos), len(combos), g=g, spark=spark)
     best = min(range(len(combos)), key=lambda i: (spreads[i], combos[i]))
-    return list(combos[best]), spreads[best]
+    return list(combos[best]), float(spreads[best])

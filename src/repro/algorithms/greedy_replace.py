@@ -5,7 +5,9 @@ seed's out-neighbors (the "OutNeighbors" heuristic of Example 3).
 Phase 2: walk the phase-1 blockers in reverse insertion order; remove one,
 recompute Δ for *all* vertices (Algorithm 2), and re-insert the global
 argmax — early-terminating the whole replacement loop as soon as the best
-replacement is the vertex just removed (Alg. 4 lines 18-20).
+replacement is the vertex just removed (Alg. 4 lines 18-20). A removed
+blocker whose Δ ties the argmax is kept, so an all-zero Δ never swaps a
+real blocker for the smallest vertex id.
 
 ``replace=False`` yields the plain OutNeighbors heuristic, used by
 Table III to show why replacement is needed.
@@ -91,6 +93,8 @@ def greedy_replace(
         delta[s] = -np.inf
         delta[blocked] = -np.inf
         x = int(np.argmax(delta))
+        if delta[u] >= delta[x]:
+            x = u  # ties (an all-zero Δ too) keep the incumbent
         B.append(x)
         blocked[x] = True
         if x == u:

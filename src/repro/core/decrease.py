@@ -5,11 +5,9 @@ BFS), its dominator tree from the seed (Lengauer-Tarjan) and the subtree
 size of every vertex; the average subtree size over samples estimates the
 decrease of expected spread caused by blocking that vertex (Theorems 4-6).
 
-One call is one Spark job: ``spark.range(θ)`` partitions sample ids across
-executors, the CSR graph is broadcast, and each partition emits its
-pre-aggregated Δ contributions as ``(vertex, total)`` rows — summed on the
-driver, so no shuffle is needed. A driver-local path (``spark=None``)
-shares the same kernel and RNG streams and is bit-identical.
+The θ samples run through :func:`repro.core.runner.map_sum`, on the
+driver or as one Spark job; per-sample subtree sizes are integers, so both
+paths give the same Δ bit for bit.
 
 ``decrease_es_exact`` enumerates all sampled graphs (tiny graphs only) and
 reproduces Example 2 exactly: Δ(v5) = 4.66, Δ(v9) = 1.11, Δ(v8) = 0.66.
@@ -17,9 +15,9 @@ reproduces Example 2 exactly: Δ(v5) = 4.66, Δ(v9) = 1.11, Δ(v8) = 0.66.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.dominator import lengauer_tarjan, subtree_sizes
+from repro.core.runner import map_sum
 from repro.core.sampling import sample_reachable, sample_rng
 from repro.core.spread import enumerate_sampled_graphs
 from repro.graphs.localgraph import LocalGraph
@@ -65,29 +63,11 @@ def decrease_es(
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if spark is None:
-        return _delta_partition(g, blocked, seed, range(theta)) / theta
-    bc = g.broadcast(spark)
-    blocked_l = None if blocked is None else blocked.copy()
-    master = seed
 
-    def fn(batches):
-        lg = bc.value
-        delta = np.zeros(lg.n, dtype=np.float64)
-        for pdf in batches:
-            delta += _delta_partition(lg, blocked_l, master, pdf["id"].tolist())
-        nz = np.nonzero(delta)[0]
-        yield pd.DataFrame({"vertex": nz.astype(np.int64), "total": delta[nz]})
+    def kernel(lg, ids):
+        return _delta_partition(lg, blocked, seed, ids)
 
-    out = (
-        spark.range(0, int(theta), 1, spark.sparkContext.defaultParallelism)
-        .mapInPandas(fn, "vertex long, total double")
-        .toPandas()
-    )
-    delta = np.zeros(g.n, dtype=np.float64)
-    if len(out):
-        np.add.at(delta, out["vertex"].to_numpy(), out["total"].to_numpy())
-    return delta / theta
+    return map_sum(kernel, theta, g.n, g=g, spark=spark) / theta
 
 
 def decrease_es_exact(

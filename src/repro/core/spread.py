@@ -11,16 +11,16 @@ multi-seed reduction (``merge_seeds``) the reported spread is
   this replaces the paper's BDD-based exact computation [39] (DESIGN.md
   §5.3) and reproduces Example 1 digit-for-digit.
 * :func:`mcs_spread` is Monte-Carlo simulation (Lemma 1): mean σ(s, g)
-  over ``r`` sampled graphs, distributed over sample ids when a
-  SparkSession is given.
+  over ``r`` sampled graphs, run through
+  :func:`repro.core.runner.map_sum` on the driver or as one Spark job.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
-import pandas as pd
 
+from repro.core.runner import map_sum
 from repro.core.sampling import reachable_from, sample_reachable, sample_rng
 from repro.graphs.localgraph import LocalGraph
 
@@ -78,12 +78,13 @@ def exact_spread(g: LocalGraph, blocked: np.ndarray | None = None) -> float:
     return float(exact_activation_probs(g, blocked).sum())
 
 
-def _mcs_partition(g: LocalGraph, blocked, master_seed: int, ids) -> tuple[int, int]:
+def _mcs_partition(g: LocalGraph, blocked, master_seed: int, ids) -> int:
+    """Total number of vertices reached over the given sample ids."""
     total = 0
     for sid in ids:
         verts, _ = sample_reachable(g, sample_rng(master_seed, int(sid)), blocked)
         total += verts.shape[0]
-    return total, len(ids)
+    return total
 
 
 def mcs_spread(
@@ -96,33 +97,13 @@ def mcs_spread(
 ) -> float:
     """Monte-Carlo estimate of E({s}, G[V \\ B]) over ``r`` samples.
 
-    With ``spark`` given, sample ids are partitioned across executors
-    (one Spark job); otherwise runs on the driver. Both paths use the same
-    per-sample kernel and the same ``(seed, sample_id)`` RNG streams, so
-    they return bit-identical results.
+    The driver and Spark paths use the same per-sample kernel and the same
+    ``(seed, sample_id)`` RNG streams, so they return bit-identical results.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if spark is None:
-        total, cnt = _mcs_partition(g, blocked, seed, range(r))
-        return total / cnt
-    bc = g.broadcast(spark)
-    blocked_l = None if blocked is None else blocked.copy()
-    master = seed
 
-    def fn(batches):
-        lg = bc.value
-        total = 0
-        cnt = 0
-        for pdf in batches:
-            t, c = _mcs_partition(lg, blocked_l, master, pdf["id"].tolist())
-            total += t
-            cnt += c
-        yield pd.DataFrame({"total": [total], "cnt": [cnt]})
+    def kernel(lg, ids):
+        return np.array([_mcs_partition(lg, blocked, seed, ids)], dtype=np.float64)
 
-    out = (
-        spark.range(0, int(r), 1, spark.sparkContext.defaultParallelism)
-        .mapInPandas(fn, "total long, cnt long")
-        .toPandas()
-    )
-    return float(out["total"].sum() / out["cnt"].sum())
+    return float(map_sum(kernel, r, 1, g=g, spark=spark)[0] / r)

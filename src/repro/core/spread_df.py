@@ -5,7 +5,7 @@ dataflow: all θ sampled graphs are materialized as one
 ``(sample, src, dst)`` DataFrame via deterministic hash-based edge
 sampling, and reachability from the seed is computed for *all samples
 simultaneously* by iterative frontier joins (shuffle joins — broadcast
-joins are disabled in conftest). It cross-validates the mapInPandas kernel
+joins are disabled in conftest). It cross-validates the per-sample kernel
 path (`repro.core.spread.mcs_spread`) and, on deterministic graphs
 (p ∈ {0, 1}), is checked row-for-row against a DuckDB recursive-CTE
 oracle.

@@ -72,10 +72,15 @@ class LocalGraph:
 
     @staticmethod
     def from_pandas(pdf: pd.DataFrame, seed_vertex: int) -> "LocalGraph":
-        """Build from a pandas edge frame ``(src, dst, p)``."""
+        """Build from a pandas edge frame ``(src, dst, p)``.
+
+        Raises ``ValueError`` if any ``p`` is NaN or outside ``[0, 1]``.
+        """
         src = pdf["src"].to_numpy(dtype=np.int64)
         dst = pdf["dst"].to_numpy(dtype=np.int64)
         p = pdf["p"].to_numpy(dtype=np.float64)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError("edge probabilities must lie in [0, 1]")
         verts = np.unique(np.concatenate([src, dst, [np.int64(seed_vertex)]]))
         lookup = {int(v): i for i, v in enumerate(verts)}
         s_loc = np.searchsorted(verts, src)

@@ -1,4 +1,4 @@
-"""Graph transformations: multi-seed merging, blocking, degree queries.
+"""Graph transformations: multi-seed merging and vertex blocking.
 
 All functions are DataFrame→DataFrame (Catalyst); the driver-side CSR
 snapshot lives in ``repro.graphs.localgraph``.
@@ -66,20 +66,3 @@ def block_vertices(edges: DataFrame, blockers: Iterable[int]) -> DataFrame:
         ~F.array_contains(arr, F.col("src")) & ~F.array_contains(arr, F.col("dst"))
     )
 
-
-def out_degrees(edges: DataFrame) -> DataFrame:
-    """``(vertex, d_out)`` for every vertex with at least one out-edge."""
-    return edges.groupBy(F.col("src").alias("vertex")).agg(
-        F.count("*").alias("d_out")
-    )
-
-
-def out_neighbors(edges: DataFrame, vertex: int) -> list[int]:
-    """Sorted distinct out-neighbours of ``vertex``."""
-    rows = (
-        edges.where(F.col("src") == int(vertex))
-        .select("dst")
-        .distinct()
-        .collect()
-    )
-    return sorted(r["dst"] for r in rows)

@@ -1,5 +1,6 @@
 """Algorithm-level tests on the toy graph: Table III + Examples 3-4."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.algorithms.advanced_greedy import advanced_greedy
@@ -11,6 +12,7 @@ from repro.algorithms.exact import (
 )
 from repro.algorithms.greedy_replace import greedy_replace
 from repro.core.spread import exact_spread
+from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_edges_df, toy_local_graph
 
 THETA = 400
@@ -71,6 +73,25 @@ def test_gr_b2_keeps_both_outneighbors(toy):
     B = greedy_replace(toy, 2, theta=THETA, seed=0)
     assert _origs(toy, B) == [2, 4]
     assert _spread_after(toy, B) == pytest.approx(1.0)
+
+
+def test_gr_keeps_blocker_on_all_zero_delta():
+    """A tiny-p seed out-neighbour stays blocked when Δ is all zero.
+
+    θ=200 samples never fire the p=0.001 edge, so phase 2 sees Δ = 0 for
+    every candidate; it must keep v11 instead of swapping in vertex 0.
+    """
+    pdf = pd.DataFrame(
+        {
+            "src": [5, 5, 10, 11, 0],
+            "dst": [10, 11, 12, 13, 1],
+            "p": [1.0, 0.001, 1.0, 1.0, 1.0],
+        }
+    )
+    g = LocalGraph.from_pandas(pdf, seed_vertex=5)
+    B = greedy_replace(g, 2, theta=200, seed=0)
+    assert _origs(g, B) == [10, 11]
+    assert _spread_after(g, B) == 1.0
 
 
 def test_gr_budget_beyond_outdegree_caps(toy):

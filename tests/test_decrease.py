@@ -85,7 +85,7 @@ def test_blocked_vertices_get_zero_delta(toy):
 def test_distributed_matches_local(spark, toy):
     local = decrease_es(toy, theta=600, seed=17)
     dist = decrease_es(toy, theta=600, seed=17, spark=spark)
-    np.testing.assert_allclose(dist, local, atol=1e-12)
+    assert np.array_equal(dist, local)
 
 
 def test_distributed_with_blockers(spark, toy):
@@ -93,7 +93,7 @@ def test_distributed_with_blockers(spark, toy):
     blocked[toy.to_local(2)] = True
     local = decrease_es(toy, theta=400, seed=4, blocked=blocked)
     dist = decrease_es(toy, theta=400, seed=4, blocked=blocked, spark=spark)
-    np.testing.assert_allclose(dist, local, atol=1e-12)
+    assert np.array_equal(dist, local)
 
 
 def golden_graph() -> LocalGraph:
@@ -128,3 +128,14 @@ def test_golden_delta_unchanged():
     assert np.array_equal(
         decrease_es(g, blocked=blocked, **kw), np.asarray(want["delta_blocked"])
     )
+
+
+def test_golden_delta_spark_matches_driver(spark):
+    """The Spark path returns the driver's Δ bit for bit on the golden graph."""
+    want = json.loads(GOLDEN.read_text())
+    g = golden_graph()
+    blocked = np.zeros(g.n, dtype=bool)
+    blocked[want["blocked"]] = True
+    for bl in (None, blocked):
+        kw = dict(theta=want["theta"], seed=want["seed"], blocked=bl)
+        assert np.array_equal(decrease_es(g, spark=spark, **kw), decrease_es(g, **kw))

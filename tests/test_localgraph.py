@@ -79,3 +79,10 @@ def test_csr_indptr_consistent():
     assert g.indptr[0] == 0
     assert g.indptr[-1] == g.m
     assert (np.diff(g.indptr) >= 0).all()
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+def test_probability_outside_unit_interval_raises(bad):
+    pdf = pd.DataFrame({"src": [0, 1], "dst": [1, 2], "p": [0.5, bad]})
+    with pytest.raises(ValueError):
+        LocalGraph.from_pandas(pdf, seed_vertex=0)

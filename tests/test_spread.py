@@ -11,6 +11,7 @@ from repro.core.spread import (
 )
 from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_local_graph
+from tests.test_decrease import golden_graph
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,17 @@ def test_mcs_distributed_matches_local(spark, toy):
     """The Spark path and the driver path share RNG streams bit-for-bit."""
     local = mcs_spread(toy, r=800, seed=21)
     dist = mcs_spread(toy, r=800, seed=21, spark=spark)
-    assert dist == pytest.approx(local, abs=1e-12)
+    assert dist == local
+
+
+def test_mcs_golden_spark_matches_driver(spark):
+    """Bit-identical MCS on the 300-vertex golden graph, with and without blockers."""
+    g = golden_graph()
+    blocked = np.zeros(g.n, dtype=bool)
+    blocked[[3, 4, 150]] = True
+    for bl in (None, blocked):
+        local = mcs_spread(g, r=97, seed=11, blocked=bl)
+        assert mcs_spread(g, r=97, seed=11, blocked=bl, spark=spark) == local
 
 
 def test_mcs_distributed_with_blockers(spark, toy):

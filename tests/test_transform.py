@@ -1,20 +1,14 @@
-"""Tests for seed merging, vertex blocking and degree queries."""
-import math
-
+"""Tests for seed merging and vertex blocking."""
 import pytest
-from pyspark.sql import functions as F
 
 from repro.graphs.toy import TOY_SEED, toy_edges_df, toy_local_graph
 from repro.graphs.transform import (
     SUPER_SEED,
     block_vertices,
     merge_seeds,
-    out_degrees,
-    out_neighbors,
 )
 from repro.core.spread import exact_spread
 from repro.graphs.localgraph import LocalGraph
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +90,3 @@ def test_block_then_spread_matches_paper(spark, toy):
     g = LocalGraph.from_edges(block_vertices(toy, [5]), TOY_SEED)
     assert exact_spread(g) == pytest.approx(3.0)
 
-
-def test_out_degrees_oracle(spark, toy):
-    assert_equivalent(
-        out_degrees(toy),
-        "SELECT src AS vertex, count(*) AS d_out FROM edges GROUP BY src",
-        edges=toy,
-    )
-
-
-def test_out_neighbors_toy(spark, toy):
-    assert out_neighbors(toy, 1) == [2, 4]
-    assert out_neighbors(toy, 5) == [3, 6, 8, 9]
-    assert out_neighbors(toy, 7) == []
