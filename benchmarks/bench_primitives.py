@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.decrease import decrease_es
-from repro.core.dominator import lengauer_tarjan, subtree_sizes
+from repro.core.dominator import immediate_dominators, subtree_sizes
 from repro.core.sampling import sample_reachable, sample_rng
 from repro.experiments.harness import build_workload
 
@@ -31,7 +31,7 @@ def test_bench_sample_reachable(benchmark, wl):
 
 
 @pytest.mark.benchmark(group="primitives")
-def test_bench_lengauer_tarjan(benchmark, wl):
+def test_bench_immediate_dominators(benchmark, wl):
     g = wl.graph
     verts, edges = sample_reachable(g, sample_rng(0, 1))
     sorted_vs = np.sort(verts)
@@ -39,7 +39,7 @@ def test_bench_lengauer_tarjan(benchmark, wl):
     root_c = int(np.searchsorted(sorted_vs, g.seed))
 
     def run():
-        idom = lengauer_tarjan(len(verts), edges_c, root_c)
+        idom = immediate_dominators(len(verts), edges_c, root_c)
         return subtree_sizes(idom, root_c)
 
     sizes = benchmark.pedantic(run, rounds=5, iterations=2)

@@ -3,7 +3,9 @@
 The greedy framework of Algorithm 1, but each round's per-candidate spread
 decreases come from *one* call to DecreaseESComputation (Algorithm 2):
 θ sampled graphs, one dominator tree each, Δ for every candidate at once.
-Complexity O(b·θ·m·α(m,n)) vs the baseline's O(b·n·r·m) (paper §V-C).
+The paper's bound is O(b·θ·m·α(m,n)) vs the baseline's O(b·n·r·m) (§V-C),
+with Lengauer-Tarjan dominator trees; the Cooper-Harvey-Kennedy sweeps used
+here are quadratic per sample in the worst case (DESIGN.md §2).
 """
 from __future__ import annotations
 

@@ -68,24 +68,20 @@ def exact_blockers(
     theta: int = 300,
     seed: int = 0,
     spark=None,
-    candidates: list[int] | None = None,
 ) -> tuple[list[int], float]:
     """Optimal blocker set of size ≤ b under the shared-sample estimator.
 
-    Returns ``(blockers_local_ids, spread_estimate)``. Ties are broken by
+    The candidates are every non-seed vertex. Returns
+    ``(blockers_local_ids, spread_estimate)``. Ties are broken by
     lexicographically smallest combination (deterministic). Because the
     spread function is monotone in B, only combinations of exactly
-    ``min(b, #candidates)`` vertices need to be scored.
+    ``min(b, n - 1)`` vertices need to be scored.
     """
     if b < 0:
         raise ValueError("b must be non-negative")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    cands = (
-        [u for u in range(g.n) if u != g.seed]
-        if candidates is None
-        else sorted(int(u) for u in set(candidates))
-    )
+    cands = [u for u in range(g.n) if u != g.seed]
     k = min(b, len(cands))
     combos = list(itertools.combinations(cands, k))
     if len(combos) > MAX_COMBOS:

@@ -1,7 +1,8 @@
 """Algorithm 2 — DecreaseESComputation, distributed over sample ids.
 
 For each of θ sampled graphs: build the sampled reachable subgraph (lazy
-BFS), its dominator tree from the seed (Lengauer-Tarjan) and the subtree
+BFS), its dominator tree from the seed (Cooper-Harvey-Kennedy sweeps; the
+paper uses Lengauer-Tarjan, which gives the same tree) and the subtree
 size of every vertex; the average subtree size over samples estimates the
 decrease of expected spread caused by blocking that vertex (Theorems 4-6).
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dominator import lengauer_tarjan, subtree_sizes
+from repro.core.dominator import immediate_dominators, subtree_sizes
 from repro.core.runner import map_sum
 from repro.core.sampling import sample_reachable, sample_rng
 from repro.core.spread import enumerate_sampled_graphs
@@ -42,7 +43,7 @@ def _delta_partition(
         sorted_vs = np.sort(verts)
         edges_c = np.searchsorted(sorted_vs, edges)
         root_c = int(np.searchsorted(sorted_vs, g.seed))
-        idom = lengauer_tarjan(k, edges_c, root_c)
+        idom = immediate_dominators(k, edges_c, root_c)
         delta[sorted_vs] += subtree_sizes(idom, root_c)
     return delta
 
@@ -76,6 +77,6 @@ def decrease_es_exact(
     """Exact Δ[·] by enumerating every sampled graph (tiny graphs only)."""
     delta = np.zeros(g.n, dtype=np.float64)
     for prob, edges in enumerate_sampled_graphs(g, blocked):
-        idom = lengauer_tarjan(g.n, edges, g.seed)
+        idom = immediate_dominators(g.n, edges, g.seed)
         delta += prob * subtree_sizes(idom, g.seed)
     return delta

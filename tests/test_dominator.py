@@ -1,4 +1,4 @@
-"""Lengauer-Tarjan dominator trees vs the brute-force and networkx oracles.
+"""Immediate dominators vs the brute-force and networkx oracles.
 
 Includes the paper's Fig. 4 dominator trees of the toy graph's sampled
 graphs, hypothesis property tests on random digraphs (brute force, up to
@@ -11,7 +11,7 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dominator import brute_force_idom, lengauer_tarjan, subtree_sizes
+from repro.core.dominator import brute_force_idom, immediate_dominators, subtree_sizes
 from repro.core.sampling import sample_reachable, sample_rng
 from repro.graphs.datasets import generate_edges
 from repro.graphs.localgraph import LocalGraph
@@ -24,7 +24,7 @@ E58, E98, E87 = (4, 7), (8, 7), (7, 6)
 
 
 def _idom(edges):
-    return lengauer_tarjan(9, np.array(edges), root=0)
+    return immediate_dominators(9, np.array(edges), root=0)
 
 
 def test_fig4a_both_edges_to_v8():
@@ -64,40 +64,56 @@ def test_fig4d_v8_unreachable():
 
 
 def test_single_vertex():
-    idom = lengauer_tarjan(1, np.empty((0, 2), dtype=np.int64), 0)
+    idom = immediate_dominators(1, np.empty((0, 2), dtype=np.int64), 0)
     assert idom[0] == 0
     assert subtree_sizes(idom, 0)[0] == 1
 
 
 def test_chain():
     edges = np.array([(0, 1), (1, 2), (2, 3)])
-    idom = lengauer_tarjan(4, edges, 0)
+    idom = immediate_dominators(4, edges, 0)
     assert idom.tolist() == [0, 0, 1, 2]
     assert subtree_sizes(idom, 0).tolist() == [4, 3, 2, 1]
 
 
 def test_diamond():
     edges = np.array([(0, 1), (0, 2), (1, 3), (2, 3)])
-    idom = lengauer_tarjan(4, edges, 0)
+    idom = immediate_dominators(4, edges, 0)
     assert idom.tolist() == [0, 0, 0, 0]   # two paths -> idom(3) = root
 
 
 def test_cycle_back_edge():
     edges = np.array([(0, 1), (1, 2), (2, 1)])
-    idom = lengauer_tarjan(3, edges, 0)
+    idom = immediate_dominators(3, edges, 0)
     assert idom.tolist() == [0, 0, 1]
 
 
 def test_duplicate_edges_ok():
     edges = np.array([(0, 1), (0, 1), (1, 2), (1, 2)])
-    idom = lengauer_tarjan(3, edges, 0)
+    idom = immediate_dominators(3, edges, 0)
     assert idom.tolist() == [0, 0, 1]
+
+
+def test_back_edge_needs_a_second_sweep():
+    """Vertex 4 comes after 3 in BFS order, so the first sweep sees only
+    the predecessor 1 of 3 and sets idom(3) = 1; the second sees 4 too."""
+    edges = np.array([(0, 1), (0, 2), (1, 3), (2, 4), (4, 3)])
+    idom = immediate_dominators(5, edges, 0)
+    assert idom.tolist() == [0, 0, 0, 0, 2]
+
+
+def test_unreached_predecessor_is_skipped():
+    """5 -> 3 with 5 unreachable from the root does not affect idom(3)."""
+    edges = np.array([(0, 1), (0, 2), (1, 3), (2, 4), (4, 3), (5, 3)])
+    idom = immediate_dominators(6, edges, 0)
+    assert idom.tolist() == [0, 0, 0, 0, 2, -1]
+    assert subtree_sizes(idom, 0).tolist() == [5, 1, 2, 1, 1, 0]
 
 
 def test_deep_chain_no_recursion_error():
     n = 5000
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    idom = lengauer_tarjan(n, edges, 0)
+    idom = immediate_dominators(n, edges, 0)
     assert idom[-1] == n - 2
     assert subtree_sizes(idom, 0)[0] == n
 
@@ -126,9 +142,9 @@ def random_digraph(draw):
 @settings(max_examples=300, deadline=None)
 def test_lt_matches_brute_force(g):
     n, edges = g
-    lt = lengauer_tarjan(n, edges, 0)
+    idom = immediate_dominators(n, edges, 0)
     bf = brute_force_idom(n, edges, 0)
-    np.testing.assert_array_equal(lt, bf)
+    np.testing.assert_array_equal(idom, bf)
 
 
 @given(random_digraph())
@@ -137,7 +153,7 @@ def test_root_subtree_equals_reachable_count(g):
     from repro.core.sampling import reachable_from
 
     n, edges = g
-    idom = lengauer_tarjan(n, edges, 0)
+    idom = immediate_dominators(n, edges, 0)
     sizes = subtree_sizes(idom, 0)
     assert sizes[0] == reachable_from(n, edges, 0).sum()
 
@@ -168,7 +184,7 @@ def nx_subtree_sizes(idom, root):
 
 
 def assert_matches_networkx(n, edges, root):
-    idom = lengauer_tarjan(n, edges, root)
+    idom = immediate_dominators(n, edges, root)
     want = nx_idom(n, edges, root)
     np.testing.assert_array_equal(idom, want)
     np.testing.assert_array_equal(subtree_sizes(idom, root), nx_subtree_sizes(want, root))

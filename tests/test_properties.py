@@ -17,7 +17,7 @@ from repro.algorithms.exact import (
     shared_sample_spread,
 )
 from repro.core.decrease import decrease_es, decrease_es_exact
-from repro.core.dominator import lengauer_tarjan, subtree_sizes
+from repro.core.dominator import immediate_dominators, subtree_sizes
 from repro.core.sampling import reachable_from, sample_reachable, sample_rng
 from repro.core.spread import exact_spread, mcs_spread
 from repro.graphs.localgraph import LocalGraph
@@ -69,7 +69,7 @@ def test_theorem6_subtree_size_equals_sigma_to_u(gseed):
         sorted_vs = np.sort(verts)
         edges_c = np.searchsorted(sorted_vs, edges) if k > 1 else edges
         root_c = int(np.searchsorted(sorted_vs, g.seed))
-        idom = lengauer_tarjan(k, edges_c.reshape(-1, 2), root_c)
+        idom = immediate_dominators(k, edges_c.reshape(-1, 2), root_c)
         sizes = subtree_sizes(idom, root_c)
         reach_all = reachable_from(k, edges_c.reshape(-1, 2), root_c)
         for u in range(k):

@@ -1,4 +1,7 @@
-"""Tests for ``map_sum``, the one per-id kernel runner."""
+"""Tests for ``map_sum``, the one per-id kernel runner, and for the names
+the benchmark script reaches into."""
+import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 from repro.core.runner import map_sum
 from repro.graphs.toy import toy_local_graph
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +76,52 @@ def test_map_in_pandas_only_in_runner():
         if "mapInPandas" in p.read_text()
     )
     assert users == ["repro/core/runner.py"]
+
+
+def _perfbench_names():
+    """``(file, object, attribute)`` for every ``repro`` name under perfbench/.
+
+    Covers ``from repro... import name`` and the ``(module, "attr", ...)``
+    tuples and calls through which ``run.py`` wraps or retags functions.
+    """
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> the repro module or object it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("repro"):
+                        mod = importlib.import_module(a.name)
+                        bound[a.asname or a.name] = mod
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                mod = importlib.import_module(node.module)
+                for a in node.names:
+                    yield path.name, mod, a.name
+                    if hasattr(mod, a.name):
+                        bound[a.asname or a.name] = getattr(mod, a.name)
+        for node in ast.walk(tree):
+            elts = node.elts if isinstance(node, ast.Tuple) else (
+                node.args if isinstance(node, ast.Call) else []
+            )
+            if (
+                len(elts) >= 2
+                and isinstance(elts[0], ast.Name)
+                and elts[0].id in bound
+                and isinstance(elts[1], ast.Constant)
+                and isinstance(elts[1].value, str)
+            ):
+                yield path.name, bound[elts[0].id], elts[1].value
+
+
+def test_perfbench_repro_names_resolve():
+    """A rename under ``src/`` must not silently break the benchmark script."""
+    names = list(_perfbench_names())
+    attrs = {attr for _, _, attr in names}
+    # The wrapped spans and the --trace 1 replay's imports are all seen.
+    assert {"decrease_es", "from_edges", "phase1_out_neighbors", "subtree_sizes"} <= attrs
+    missing = [
+        f"{f}: {getattr(obj, '__name__', obj)}.{attr}"
+        for f, obj, attr in names
+        if not hasattr(obj, attr)
+    ]
+    assert missing == []
