@@ -1,6 +1,6 @@
 """Reproduce Table V: Exact vs GreedyReplace under the TR model.
 
-Usage: spark-submit jobs/table5.py [--n-target 25] [--theta 200] [--out out.csv]
+Usage: spark-submit jobs/table5.py [--n-target 40] [--theta 200] [--out out.csv]
 """
 import argparse
 import sys

@@ -1,6 +1,6 @@
 """Reproduce Table VI: Exact vs GreedyReplace under the WC model.
 
-Usage: spark-submit jobs/table6.py [--n-target 25] [--theta 200] [--out out.csv]
+Usage: spark-submit jobs/table6.py [--n-target 40] [--theta 200] [--out out.csv]
 """
 import sys
 from pathlib import Path

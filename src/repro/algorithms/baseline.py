@@ -1,13 +1,11 @@
-"""Baseline blocker-selection algorithms: BaselineGreedy, Rand, OutDegree.
+"""Algorithm 1's greedy loop and the baselines BG, Rand and OutDegree.
 
+* :func:`greedy` is Algorithm 1's round loop, written once: BG, AG and GR's
+  phase 1 differ only in their candidate pool and their per-round score.
 * **BaselineGreedy (BG)** — Algorithm 1, the state of the art the paper
-  compares against [2], [8]: in each of ``b`` rounds, estimate via
-  Monte-Carlo simulation the expected spread after blocking each remaining
-  candidate, and block the candidate minimizing it (equivalently,
-  maximizing the spread decrease). O(b·n·r·m): the per-candidate MCS is
-  what AG's dominator-tree estimator eliminates. Each round's candidate
-  sweep runs through :func:`repro.core.runner.map_sum`, candidate ``i``
-  written at index ``i``.
+  compares against [2], [8]: each round blocks the candidate whose
+  Monte-Carlo spread after blocking it is smallest. O(b·n·r·m): the
+  per-candidate MCS is what AG's dominator-tree estimator eliminates.
 * **Rand (RA)** — ``b`` uniform random non-seed vertices.
 * **OutDegree (OD)** — the ``b`` highest out-degree non-seed vertices.
 
@@ -25,6 +23,29 @@ from repro.core.spread import _mcs_partition
 from repro.graphs.localgraph import LocalGraph
 
 
+def greedy(g: LocalGraph, b: int, pool, score) -> list[int]:
+    """Algorithm 1's loop. Returns the blockers (local ids) in selection order.
+
+    ``pool`` holds the selectable ids (``None``: every non-seed vertex).
+    Each round scores the unblocked pool vertices ``left``, ascending, by
+    ``score(rnd, blocked, left)`` and blocks the top one; ties go to the
+    smallest id (``np.argmax``). Stops after ``b`` rounds or an empty pool.
+    """
+    if b < 0:
+        raise ValueError("b must be non-negative")
+    pool = np.unique(np.delete(np.arange(g.n), g.seed) if pool is None else pool)
+    blocked = np.zeros(g.n, dtype=bool)
+    B: list[int] = []
+    for rnd in range(b):
+        left = pool[~blocked[pool]]
+        if left.size == 0:
+            break
+        x = int(left[np.argmax(score(rnd, blocked, left))])
+        B.append(x)
+        blocked[x] = True
+    return B
+
+
 def baseline_greedy(
     g: LocalGraph,
     b: int,
@@ -34,46 +55,35 @@ def baseline_greedy(
     spark=None,
     candidates: list[int] | None = None,
 ) -> list[int]:
-    """Algorithm 1. Returns blocker *local ids* in selection order.
+    """Algorithm 1 on :func:`greedy`. Returns blocker *local ids* in order.
 
-    ``candidates`` restricts the per-round sweep (default: every non-seed
-    vertex, as in the paper). Each round's sweep is one kernel run, on the
-    driver or as one Spark job.
+    ``candidates`` restricts the pool (default: every non-seed vertex, as
+    in the paper); a duplicate is priced once. Each round scores every
+    candidate by minus its MCS spread, in one kernel run through
+    :func:`repro.core.runner.map_sum`, candidate ``left[i]`` at index ``i``.
     """
-    if b < 0:
-        raise ValueError("b must be non-negative")
     if r <= 0:
         raise ValueError("r must be positive")
-    blocked = np.zeros(g.n, dtype=bool)
-    B: list[int] = []
-    all_cands = (
-        [u for u in range(g.n) if u != g.seed]
-        if candidates is None
-        else [int(u) for u in candidates]
-    )
-    for rnd in range(b):
-        cands = [u for u in all_cands if not blocked[u]]
-        if not cands:
-            break
+    pool = None if candidates is None else np.asarray(candidates, dtype=np.int64)
+    if pool is not None and np.any((pool < 0) | (pool >= g.n) | (pool == g.seed)):
+        raise ValueError("candidates must be non-seed local ids in 0..n-1")
+
+    def score(rnd, blocked, left):
         master = seed * 7_919 + rnd
 
         def kernel(lg, ids):
-            """MCS spread after also blocking ``cands[i]``, at index ``i``."""
-            out = np.zeros(len(cands), dtype=np.float64)
+            """MCS spread after also blocking ``left[i]``, at index ``i``."""
+            out = np.zeros(len(left), dtype=np.float64)
             for i in ids:
-                u = cands[i]
+                u = int(left[i])
                 bl = blocked.copy()
                 bl[u] = True
                 out[i] = _mcs_partition(lg, bl, master * 1_000_003 + u, range(r)) / r
             return out
 
-        got = map_sum(kernel, len(cands), len(cands), g=g, spark=spark)
-        spreads = dict(zip(cands, got))
-        # max decrease == min resulting spread; ties -> smallest local id
-        x = min(cands, key=lambda u: (spreads[u], u))
-        B.append(x)
-        blocked[x] = True
-    return B
+        return -map_sum(kernel, len(left), len(left), g=g, spark=spark)
+
+    return greedy(g, b, pool, score)
 
 
 def ra_blockers(

@@ -1,7 +1,8 @@
 """Algorithm 4 — GreedyReplace (GR).
 
 Phase 1: greedily pick ``min(d_out(s), b)`` blockers restricted to the
-seed's out-neighbors (the "OutNeighbors" heuristic of Example 3).
+seed's out-neighbors (the "OutNeighbors" heuristic of Example 3), through
+the shared loop :func:`repro.algorithms.baseline.greedy`.
 Phase 2: walk the phase-1 blockers in reverse insertion order; remove one,
 recompute Δ for *all* vertices (Algorithm 2), and re-insert the global
 argmax — early-terminating the whole replacement loop as soon as the best
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.baseline import greedy
 from repro.core.decrease import decrease_es
 from repro.graphs.localgraph import LocalGraph
 
@@ -28,26 +30,21 @@ def phase1_out_neighbors(
     seed: int = 0,
     spark=None,
 ) -> list[int]:
-    """Phase 1 of Algorithm 4: greedy selection restricted to N_out(s).
+    """Phase 1 of Algorithm 4: :func:`greedy` with the pool N_out(s) \\ {s}.
 
     The selection is prefix-structured (round i depends only on rounds
     < i), so a run at budget ``b_max`` can be truncated to serve any
     smaller budget — Table VII's harness exploits this.
     """
-    s = g.seed
-    heads, _ = g.out_edges(s)
-    cb = set(int(h) for h in np.unique(heads) if int(h) != s)
-    blocked = np.zeros(g.n, dtype=bool)
-    B: list[int] = []
-    for rnd in range(min(len(cb), b)):
+
+    def score(rnd, blocked, left):
         delta = decrease_es(
             g, theta=theta, seed=seed * 104_729 + rnd, blocked=blocked, spark=spark
         )
-        x = min(cb, key=lambda u: (-delta[u], u))
-        cb.remove(x)
-        B.append(x)
-        blocked[x] = True
-    return B
+        return delta[left]
+
+    heads, _ = g.out_edges(g.seed)
+    return greedy(g, b, heads[heads != g.seed], score)
 
 
 def greedy_replace(

@@ -10,7 +10,7 @@ from repro.algorithms.exact import (
     presample_adjacency,
     shared_sample_spread,
 )
-from repro.algorithms.greedy_replace import greedy_replace
+from repro.algorithms.greedy_replace import greedy_replace, phase1_out_neighbors
 from repro.core.spread import exact_spread
 from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_edges_df, toy_local_graph
@@ -116,6 +116,25 @@ def test_bg_candidate_restriction(toy):
     cands = [toy.to_local(2), toy.to_local(4)]
     B = baseline_greedy(toy, 2, r=200, seed=0, candidates=cands)
     assert _origs(toy, B) == [2, 4]
+
+
+# ---------------- the shared greedy loop: ties and the stop rule --------
+def test_greedy_ties_go_to_smallest_id_and_pool_bounds_rounds():
+    """Seed 5 with three p=1 leaves: every Δ and post-blocking spread ties.
+
+    AG, GR phase 1 and BG then all pick the smallest local id (orig 2, not
+    the first-listed leaf 9); AG stops once every non-seed vertex is
+    blocked, and phase 1 once N_out(s) is used up.
+    """
+    pdf = pd.DataFrame({"src": [5, 5, 5], "dst": [9, 2, 7], "p": [1.0, 1.0, 1.0]})
+    g = LocalGraph.from_pandas(pdf, seed_vertex=5)
+    smallest = g.to_local(2)
+    assert smallest == min(u for u in range(g.n) if u != g.seed)
+    assert advanced_greedy(g, 1, theta=8) == [smallest]
+    assert phase1_out_neighbors(g, 1, theta=8) == [smallest]
+    assert baseline_greedy(g, 1, r=8) == [smallest]
+    assert len(advanced_greedy(g, g.n + 2, theta=8)) == g.n - 1
+    assert len(phase1_out_neighbors(g, g.n + 2, theta=8)) == g.out_degree(g.seed)
 
 
 # ---------------- RA / OD ------------------------------------------------
@@ -229,9 +248,21 @@ def maybe_spark(request):
         lambda g, sp: exact_blockers(g, -1, theta=10, spark=sp),
         lambda g, sp: baseline_greedy(g, 1, r=0, spark=sp),
         lambda g, sp: exact_blockers(g, 1, theta=0, spark=sp),
+        lambda g, sp: baseline_greedy(g, 1, r=10, spark=sp, candidates=[g.seed]),
+        lambda g, sp: baseline_greedy(g, 1, r=10, spark=sp, candidates=[g.n]),
+        lambda g, sp: baseline_greedy(g, 1, r=10, spark=sp, candidates=[-1]),
     ],
-    ids=["ag_b", "gr_b", "bg_b", "exact_b", "bg_r", "exact_theta"],
+    ids=[
+        "ag_b", "gr_b", "bg_b", "exact_b", "bg_r", "exact_theta",
+        "bg_seed_candidate", "bg_candidate_n", "bg_candidate_negative",
+    ],
 )
-def test_bad_budget_or_sample_count_raises(toy, maybe_spark, select):
+def test_bad_budget_or_sample_count_raises(toy, maybe_spark, select, monkeypatch):
+    """Bad budgets, sample counts and BG candidates raise before any sampling."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("BG started sampling before validating its input")
+
+    monkeypatch.setattr("repro.algorithms.baseline.map_sum", no_sweep)
     with pytest.raises(ValueError):
         select(toy, maybe_spark)

@@ -80,16 +80,22 @@ def test_table6_wc_shape_small(spark):
         theta=120,
         theta_eval=400,
         gr_theta=200,
-        seed=1,
+        seed=2,
     )
+    # A GR spread above |S| = 2 means s' has an out-edge in the ball, so GR
+    # makes Δ calls; seed 2 is the first from 2 up that gives one.
+    assert df.loc[df["b"] == 1, "GR spread"].item() > 2
     assert (df["Exact spread"] <= df["GR spread"] + 0.05).all()
+    ratios = df["Ratio"].str.rstrip("%").astype(float)
+    assert (ratios > 90).all()
 
 
-def test_table7_cell_shape(spark):
+@pytest.mark.parametrize("model", ["WC", "TR"])
+def test_table7_cell_shape(spark, model):
     df = table7_cell(
         spark,
         "EmailCore",
-        "WC",
+        model,
         budgets=(5, 10),
         theta=150,
         r_eval=600,
