@@ -10,8 +10,9 @@ replacement is the vertex just removed (Alg. 4 lines 18-20). A removed
 blocker whose Δ ties the argmax is kept, so an all-zero Δ never swaps a
 real blocker for the smallest vertex id.
 
-``replace=False`` yields the plain OutNeighbors heuristic, used by
-Table III to show why replacement is needed.
+Table III's OutNeighbors row is phase 1 alone (:func:`phase1_out_neighbors`);
+Table VII runs phase 1 once at its largest budget and :func:`replace_blockers`
+on each prefix.
 """
 from __future__ import annotations
 
@@ -47,36 +48,22 @@ def phase1_out_neighbors(
     return greedy(g, b, heads[heads != g.seed], score)
 
 
-def greedy_replace(
+def replace_blockers(
     g: LocalGraph,
-    b: int,
+    B: list[int],
     *,
-    theta: int = 1000,
-    seed: int = 0,
+    theta: int,
+    seed: int,
     spark=None,
-    replace: bool = True,
-    phase1_order: list[int] | None = None,
 ) -> list[int]:
-    """GreedyReplace. Returns blocker *local ids* in final order.
+    """Phase 2 of Algorithm 4 on the phase-1 blockers ``B`` (local ids).
 
-    ``phase1_order`` optionally supplies a precomputed (longer) phase-1
-    selection sequence with the same ``(theta, seed)``; its first
-    ``min(d_out(s), b)`` entries are used verbatim.
+    Returns a new list; ``B`` is not modified.
     """
-    if b < 0:
-        raise ValueError("b must be non-negative")
     s = g.seed
-    if phase1_order is None:
-        B = phase1_out_neighbors(g, b, theta=theta, seed=seed, spark=spark)
-    else:
-        d_out = np.unique(g.out_edges(s)[0])
-        rounds = min(int((d_out != s).sum()), b)
-        B = [int(u) for u in phase1_order[:rounds]]
+    B = [int(u) for u in B]
     blocked = np.zeros(g.n, dtype=bool)
     blocked[B] = True
-    if not replace:
-        return B
-    # --- phase 2: reverse-order replacement -----------------------------
     for i, u in enumerate(reversed(list(B))):
         blocked[u] = False
         B.remove(u)
@@ -97,3 +84,16 @@ def greedy_replace(
         if x == u:
             break  # current blocker is already the best -> early terminate
     return B
+
+
+def greedy_replace(
+    g: LocalGraph,
+    b: int,
+    *,
+    theta: int = 1000,
+    seed: int = 0,
+    spark=None,
+) -> list[int]:
+    """GreedyReplace: phase 1, then phase 2 on its blockers (local ids)."""
+    B = phase1_out_neighbors(g, b, theta=theta, seed=seed, spark=spark)
+    return replace_blockers(g, B, theta=theta, seed=seed, spark=spark)

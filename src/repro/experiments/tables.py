@@ -1,9 +1,9 @@
 """Harnesses that regenerate each evaluation table (DESIGN.md §4).
 
 Every function returns a pandas DataFrame whose rows mirror the paper's
-table layout; ``jobs/`` wraps them for spark-submit and EXPERIMENTS.md
-records paper-vs-measured values. Parameters default to the scaled-down
-settings documented in DESIGN.md §5.4.
+table layout; ``jobs/run.py TABLE`` runs one with a flag per keyword-only
+parameter, and EXPERIMENTS.md records paper-vs-measured values. The only
+defaults are these, the scaled-down settings of DESIGN.md §5.4.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pyspark.sql import SparkSession
 from repro.algorithms.advanced_greedy import advanced_greedy
 from repro.algorithms.baseline import baseline_greedy, od_blockers, ra_blockers
 from repro.algorithms.exact import exact_blockers, presample_adjacency, shared_sample_spread
-from repro.algorithms.greedy_replace import greedy_replace, phase1_out_neighbors
+from repro.algorithms.greedy_replace import greedy_replace, phase1_out_neighbors, replace_blockers
 from repro.core.spread import exact_spread
 from repro.graphs.datasets import DATASETS, generate_edges, stats_row
 from repro.graphs.localgraph import LocalGraph
@@ -37,7 +37,7 @@ def table3(*, theta: int = 400, seed: int = 0, spark=None) -> pd.DataFrame:
         if algo == "Greedy":
             B = advanced_greedy(g, b, theta=theta, seed=seed, spark=spark)
         elif algo == "OutNeighbors":
-            B = greedy_replace(g, b, theta=theta, seed=seed, spark=spark, replace=False)
+            B = phase1_out_neighbors(g, b, theta=theta, seed=seed, spark=spark)
         else:
             B = greedy_replace(g, b, theta=theta, seed=seed, spark=spark)
         blocked = np.zeros(g.n, dtype=bool)
@@ -170,8 +170,9 @@ def table7_cell(
     """One (dataset, model) block of Table VII: spreads per algorithm × b.
 
     AG is run once at max(budgets) — its greedy selection is prefix-
-    structured, so every smaller budget is a prefix. GR's phase-1 depends
-    on b, so it is re-run per budget.
+    structured, so every smaller budget is a prefix. GR's phase 1 is
+    prefix-structured too, so it also runs once at max(budgets); its
+    phase 2 (:func:`replace_blockers`) runs per budget on the prefix.
     """
     wl = build_workload(
         spark, dataset, model, scale=scale, n_seeds=n_seeds, seed=seed
@@ -181,7 +182,6 @@ def table7_cell(
         int(wl.graph.orig_ids[u])
         for u in advanced_greedy(wl.graph, bmax, theta=theta, seed=seed, spark=spark)
     ]
-    # GR phase 1 is prefix-structured: one run at bmax serves every budget.
     p1 = phase1_out_neighbors(
         wl.graph, bmax, theta=theta, seed=seed, spark=spark
     )
@@ -191,8 +191,8 @@ def table7_cell(
         od = od_blockers(wl.edges, wl.seeds, b)
         gr = [
             int(wl.graph.orig_ids[u])
-            for u in greedy_replace(
-                wl.graph, b, theta=theta, seed=seed, spark=spark, phase1_order=p1
+            for u in replace_blockers(
+                wl.graph, p1[:b], theta=theta, seed=seed, spark=spark
             )
         ]
         spreads = {

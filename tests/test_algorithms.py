@@ -49,13 +49,13 @@ def test_greedy_b2_picks_v5_then_outneighbor(toy):
 
 # ---------------- Table III: OutNeighbors row ---------------------------
 def test_outneighbors_b1(toy):
-    B = greedy_replace(toy, 1, theta=THETA, seed=0, replace=False)
+    B = phase1_out_neighbors(toy, 1, theta=THETA, seed=0)
     assert _origs(toy, B)[0] in (2, 4)
     assert _spread_after(toy, B) == pytest.approx(6.66)
 
 
 def test_outneighbors_b2(toy):
-    B = greedy_replace(toy, 2, theta=THETA, seed=0, replace=False)
+    B = phase1_out_neighbors(toy, 2, theta=THETA, seed=0)
     assert _origs(toy, B) == [2, 4]
     assert _spread_after(toy, B) == pytest.approx(1.0)
 
@@ -200,7 +200,7 @@ def test_exact_combo_guard(toy):
 @pytest.mark.parametrize("b", [1, 2])
 def test_gr_never_worse_than_outneighbors(toy, b):
     gr = greedy_replace(toy, b, theta=THETA, seed=1)
-    on = greedy_replace(toy, b, theta=THETA, seed=1, replace=False)
+    on = phase1_out_neighbors(toy, b, theta=THETA, seed=1)
     assert _spread_after(toy, gr) <= _spread_after(toy, on) + 1e-9
 
 

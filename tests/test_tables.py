@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.greedy_replace import greedy_replace, phase1_out_neighbors
+from repro.algorithms.greedy_replace import greedy_replace, phase1_out_neighbors, replace_blockers
 from repro.experiments.tables import (
     efficiency,
     exact_vs_gr,
@@ -46,7 +46,14 @@ def test_table4_degree_skew_at_default_scale():
     assert row["d_max"] >= 10 * row["d_avg"]
 
 
-def test_table5_shape_small(spark):
+def test_table5_shape_small(spark, monkeypatch):
+    d_out = []  # d_out(s') of the ball in each GR call
+
+    def recording_gr(g, b, **kw):
+        d_out.append(g.out_degree(g.seed))
+        return greedy_replace(g, b, **kw)
+
+    monkeypatch.setattr("repro.experiments.tables.greedy_replace", recording_gr)
     df = exact_vs_gr(
         spark,
         "TR",
@@ -57,8 +64,11 @@ def test_table5_shape_small(spark):
         theta=120,
         theta_eval=400,
         gr_theta=200,
-        seed=0,
+        seed=2,
     )
+    # Both balls give s' an out-edge, so GR makes Δ calls on each; seed 2
+    # is the first from 1 up where they do (d_out = 5 and 1).
+    assert len(d_out) == 4 and min(d_out) > 0
     assert list(df["b"]) == [1, 2]
     # Exact is optimal under the shared estimator: spread <= GR spread
     assert (df["Exact spread"] <= df["GR spread"] + 0.05).all()
@@ -126,7 +136,7 @@ def test_gr_phase1_reuse_is_exact(spark):
     p1 = phase1_out_neighbors(g, 8, theta=100, seed=5)
     for b in (2, 4):
         direct = greedy_replace(g, b, theta=100, seed=5)
-        reused = greedy_replace(g, b, theta=100, seed=5, phase1_order=p1)
+        reused = replace_blockers(g, p1[:b], theta=100, seed=5)
         assert direct == reused
 
 
