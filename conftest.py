@@ -83,3 +83,27 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def spark_jobs(spark, request, monkeypatch):
+    """``spark`` with ``map_sum``'s cached job cost set to 0 for one test.
+
+    ``map_sum`` then sends every id after its first one-id chunk to a Spark
+    job, however cheap the kernel, so a test that compares a result taken
+    with ``spark_jobs`` against the driver's compares Spark with the driver.
+    The test runs in its own job group, and teardown checks through the
+    status tracker that at least one job ran in it.
+    """
+    from repro.core import runner
+
+    sc = spark.sparkContext
+    if sc.defaultParallelism < 2:
+        pytest.skip("map_sum sends no ids to Spark when defaultParallelism is 1")
+    monkeypatch.setitem(runner._JOB_S, sc, 0.0)
+    group = f"spark_jobs {request.node.nodeid}"
+    sc.setJobGroup(group, group)
+    yield spark
+    sc.setLocalProperty("spark.jobGroup.id", None)
+    sc.setLocalProperty("spark.job.description", None)
+    assert sc.statusTracker().getJobIdsForGroup(group), f"no Spark job ran in {group}"

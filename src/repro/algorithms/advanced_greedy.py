@@ -26,7 +26,8 @@ def advanced_greedy(
     """AdvancedGreedy on :func:`greedy`. Returns blocker *local ids* in order.
 
     The pool is every non-seed vertex. Each round's score is one
-    DecreaseESComputation over θ samples, on the driver or as one Spark job.
+    DecreaseESComputation over θ samples: on the driver, with the remaining
+    samples sent to one Spark job once that job pays for itself.
     """
 
     def score(rnd, blocked, left):

@@ -13,7 +13,8 @@ that design with two substitutions (DESIGN.md §5.3):
   a batched matmul across all samples at once.
 
 Combination ``i`` is scored at index ``i`` by one kernel run through
-:func:`repro.core.runner.map_sum`, on the driver or as one Spark job (the
+:func:`repro.core.runner.map_sum`, which starts on the driver and sends the
+remaining combinations to one Spark job once that job pays for itself (the
 presampled tensor travels in the kernel's closure). Exponential in ``b`` —
 small graphs only (Tables V/VI).
 """

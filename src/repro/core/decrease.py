@@ -6,9 +6,10 @@ paper uses Lengauer-Tarjan, which gives the same tree) and the subtree
 size of every vertex; the average subtree size over samples estimates the
 decrease of expected spread caused by blocking that vertex (Theorems 4-6).
 
-The θ samples run through :func:`repro.core.runner.map_sum`, on the
-driver or as one Spark job; per-sample subtree sizes are integers, so both
-paths give the same Δ bit for bit.
+The θ samples run through :func:`repro.core.runner.map_sum`, which starts
+on the driver and sends the remaining samples to one Spark job once the
+predicted driver time left outweighs the job's cost; per-sample subtree
+sizes are integers, so Δ is the same bit for bit wherever the split falls.
 
 ``decrease_es_exact`` enumerates all sampled graphs (tiny graphs only) and
 reproduces Example 2 exactly: Δ(v5) = 4.66, Δ(v9) = 1.11, Δ(v8) = 0.66.

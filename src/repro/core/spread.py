@@ -12,7 +12,8 @@ multi-seed reduction (``merge_seeds``) the reported spread is
   §5.3) and reproduces Example 1 digit-for-digit.
 * :func:`mcs_spread` is Monte-Carlo simulation (Lemma 1): mean σ(s, g)
   over ``r`` sampled graphs, run through
-  :func:`repro.core.runner.map_sum` on the driver or as one Spark job.
+  :func:`repro.core.runner.map_sum`: on the driver, with the remaining
+  samples sent to one Spark job once that job pays for itself.
 """
 from __future__ import annotations
 

@@ -106,9 +106,9 @@ def test_bg_matches_ag_on_toy(toy):
     assert _spread_after(toy, B) == pytest.approx(2.0)
 
 
-def test_bg_distributed_matches_local(spark, toy):
+def test_bg_distributed_matches_local(spark_jobs, toy):
     local = baseline_greedy(toy, 2, r=200, seed=3)
-    dist = baseline_greedy(toy, 2, r=200, seed=3, spark=spark)
+    dist = baseline_greedy(toy, 2, r=200, seed=3, spark=spark_jobs)
     assert local == dist
 
 
@@ -170,9 +170,9 @@ def test_exact_b2_is_v2_v4(toy):
     assert spread == pytest.approx(1.0, abs=1e-9)
 
 
-def test_exact_distributed_matches_local(spark, toy):
+def test_exact_distributed_matches_local(spark_jobs, toy):
     a = exact_blockers(toy, 2, theta=128, seed=2)
-    d = exact_blockers(toy, 2, theta=128, seed=2, spark=spark)
+    d = exact_blockers(toy, 2, theta=128, seed=2, spark=spark_jobs)
     assert a == d
 
 
@@ -221,15 +221,15 @@ def test_ag_deterministic(toy):
     )
 
 
-def test_ag_distributed_matches_local(spark, toy):
+def test_ag_distributed_matches_local(spark_jobs, toy):
     local = advanced_greedy(toy, 2, theta=300, seed=6)
-    dist = advanced_greedy(toy, 2, theta=300, seed=6, spark=spark)
+    dist = advanced_greedy(toy, 2, theta=300, seed=6, spark=spark_jobs)
     assert local == dist
 
 
-def test_gr_distributed_matches_local(spark, toy):
+def test_gr_distributed_matches_local(spark_jobs, toy):
     local = greedy_replace(toy, 2, theta=300, seed=6)
-    dist = greedy_replace(toy, 2, theta=300, seed=6, spark=spark)
+    dist = greedy_replace(toy, 2, theta=300, seed=6, spark=spark_jobs)
     assert local == dist
 
 

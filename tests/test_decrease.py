@@ -82,17 +82,17 @@ def test_blocked_vertices_get_zero_delta(toy):
     assert delta[toy.to_local(9)] == 0
 
 
-def test_distributed_matches_local(spark, toy):
+def test_distributed_matches_local(spark_jobs, toy):
     local = decrease_es(toy, theta=600, seed=17)
-    dist = decrease_es(toy, theta=600, seed=17, spark=spark)
+    dist = decrease_es(toy, theta=600, seed=17, spark=spark_jobs)
     assert np.array_equal(dist, local)
 
 
-def test_distributed_with_blockers(spark, toy):
+def test_distributed_with_blockers(spark_jobs, toy):
     blocked = np.zeros(toy.n, dtype=bool)
     blocked[toy.to_local(2)] = True
     local = decrease_es(toy, theta=400, seed=4, blocked=blocked)
-    dist = decrease_es(toy, theta=400, seed=4, blocked=blocked, spark=spark)
+    dist = decrease_es(toy, theta=400, seed=4, blocked=blocked, spark=spark_jobs)
     assert np.array_equal(dist, local)
 
 
@@ -130,7 +130,7 @@ def test_golden_delta_unchanged():
     )
 
 
-def test_golden_delta_spark_matches_driver(spark):
+def test_golden_delta_spark_matches_driver(spark_jobs):
     """The Spark path returns the driver's Δ bit for bit on the golden graph."""
     want = json.loads(GOLDEN.read_text())
     g = golden_graph()
@@ -138,4 +138,5 @@ def test_golden_delta_spark_matches_driver(spark):
     blocked[want["blocked"]] = True
     for bl in (None, blocked):
         kw = dict(theta=want["theta"], seed=want["seed"], blocked=bl)
-        assert np.array_equal(decrease_es(g, spark=spark, **kw), decrease_es(g, **kw))
+        dist = decrease_es(g, spark=spark_jobs, **kw)
+        assert np.array_equal(dist, decrease_es(g, **kw))

@@ -2,11 +2,18 @@
 the benchmark script reaches into."""
 import ast
 import importlib
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.algorithms.baseline as baseline
+import repro.algorithms.exact as exact
+import repro.core.decrease as decrease
+import repro.core.spread as spread
+from repro.core import runner
 from repro.core.runner import map_sum
 from repro.graphs.toy import toy_local_graph
 
@@ -25,7 +32,7 @@ def _counts(spark):
     return [1, max(par - 1, 1), 10 * par + 3]
 
 
-def test_integer_sums_match_driver(spark, toy):
+def test_integer_sums_match_driver(spark_jobs, toy):
     """Per-vertex integer sums, as Δ and MCS produce them."""
 
     def kernel(g, ids):
@@ -34,15 +41,15 @@ def test_integer_sums_match_driver(spark, toy):
             out[i % g.n] += i * i + g.out_degree(i % g.n)
         return out
 
-    for count in _counts(spark):
+    for count in _counts(spark_jobs):
         local = map_sum(kernel, count, toy.n, g=toy)
-        dist = map_sum(kernel, count, toy.n, g=toy, spark=spark)
+        dist = map_sum(kernel, count, toy.n, g=toy, spark=spark_jobs)
         assert np.array_equal(dist, local), count
         want = sum(i * i + toy.out_degree(i % toy.n) for i in range(count))
         assert local.sum() == want
 
 
-def test_written_once_values_match_driver(spark, toy):
+def test_written_once_values_match_driver(spark_jobs, toy):
     """Non-integer values written by exactly one id, as BG and Exact produce."""
 
     def kernel(g, ids):
@@ -51,21 +58,107 @@ def test_written_once_values_match_driver(spark, toy):
             out[i] = (i + g.seed) / 7.0 + 1e-9 * i
         return out
 
-    for count in _counts(spark):
+    for count in _counts(spark_jobs):
         local = map_sum(kernel, count, count, g=toy)
-        dist = map_sum(kernel, count, count, g=toy, spark=spark)
+        dist = map_sum(kernel, count, count, g=toy, spark=spark_jobs)
         assert np.array_equal(dist, local), count
         assert local.shape == (count,)
 
 
-def test_all_zero_kernel(spark, toy):
+def test_all_zero_kernel(spark_jobs, toy):
     """No partition emits a row; the result is still a zero vector."""
 
     def kernel(g, ids):
         return np.zeros(3, dtype=np.float64)
 
-    for sp in (None, spark):
+    for sp in (None, spark_jobs):
         assert np.array_equal(map_sum(kernel, 5, 3, g=toy, spark=sp), np.zeros(3))
+
+
+@pytest.fixture(scope="module")
+def toy_kernels(toy):
+    """``(kernel, count, width)`` of one Δ, MCS, BG and Exact call on the toy graph."""
+    got = []
+
+    def recording(kernel, count, width, *, g, spark=None):
+        got.append((kernel, count, width))
+        return map_sum(kernel, count, width, g=g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (decrease, spread, baseline, exact):
+            mp.setattr(mod, "map_sum", recording)
+        decrease.decrease_es(toy, theta=12, seed=3)
+        spread.mcs_spread(toy, r=12, seed=3)
+        baseline.baseline_greedy(toy, 1, r=4, seed=3)
+        exact.exact_blockers(toy, 1, theta=16, seed=3)
+    assert len(got) == 4
+    return dict(zip(["delta", "mcs", "bg", "exact"], got))
+
+
+@pytest.mark.parametrize("name", ["delta", "mcs", "bg", "exact"])
+def test_every_split_point_matches_driver(spark, toy, toy_kernels, name):
+    """Ids ``0..k-1`` on the driver plus ``k..count-1`` as one job, for every k."""
+    kernel, count, width = toy_kernels[name]
+    want = map_sum(kernel, count, width, g=toy)
+    for k in range(count + 1):
+        rest = runner._spark_sum(kernel, k, count, width, g=toy, spark=spark)
+        assert np.array_equal(map_sum(kernel, k, width, g=toy) + rest, want), k
+
+
+@contextmanager
+def _jobs(spark, group):
+    """Yield a list that receives the ids of the jobs started in the block."""
+    sc = spark.sparkContext
+    if sc.defaultParallelism < 2:
+        pytest.skip("map_sum sends no ids to Spark when defaultParallelism is 1")
+    runner._job_s(spark)  # measured first, so the group holds map_sum's jobs only
+    ids = []
+    sc.setJobGroup(group, group)
+    try:
+        yield ids
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    ids.extend(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_slow_kernel_goes_to_spark_after_first_chunk(spark, toy, monkeypatch):
+    """~10 ms per id over 200 ids: after id 0 the rest pays for one labelled job."""
+    on_driver = []  # an executor appends to its own unpickled copy
+
+    def kernel(g, ids):
+        ids = list(ids)
+        on_driver.extend(ids)
+        time.sleep(0.01 * len(ids))
+        out = np.zeros(200, dtype=np.float64)
+        out[ids] = 1.0
+        return out
+
+    sc = spark.sparkContext
+    labels = []
+    set_description = sc.setJobDescription
+    monkeypatch.setattr(
+        sc, "setJobDescription", lambda v: (labels.append(v), set_description(v))
+    )
+    with _jobs(spark, "slow kernel") as jobs:
+        got = map_sum(kernel, 200, 200, g=toy, spark=spark)
+    assert on_driver == [0]
+    assert jobs
+    assert np.array_equal(got, np.ones(200))
+    # The job is labelled, and the caller's description is put back after.
+    assert labels == [f"{kernel.__qualname__} ids 1..199", "slow kernel"]
+
+
+def test_cheap_kernel_starts_no_job(spark, toy):
+    """Microseconds per id never pay for a job: every chunk runs on the driver."""
+
+    def kernel(g, ids):
+        return np.array([float(sum(ids))])
+
+    with _jobs(spark, "cheap kernel") as jobs:
+        got = map_sum(kernel, 1000, 1, g=toy, spark=spark)
+    assert jobs == []
+    assert got[0] == sum(range(1000))
 
 
 def test_map_in_pandas_only_in_runner():

@@ -114,25 +114,25 @@ def test_mcs_deterministic_in_seed(toy):
     assert a == b
 
 
-def test_mcs_distributed_matches_local(spark, toy):
+def test_mcs_distributed_matches_local(spark_jobs, toy):
     """The Spark path and the driver path share RNG streams bit-for-bit."""
     local = mcs_spread(toy, r=800, seed=21)
-    dist = mcs_spread(toy, r=800, seed=21, spark=spark)
+    dist = mcs_spread(toy, r=800, seed=21, spark=spark_jobs)
     assert dist == local
 
 
-def test_mcs_golden_spark_matches_driver(spark):
+def test_mcs_golden_spark_matches_driver(spark_jobs):
     """Bit-identical MCS on the 300-vertex golden graph, with and without blockers."""
     g = golden_graph()
     blocked = np.zeros(g.n, dtype=bool)
     blocked[[3, 4, 150]] = True
     for bl in (None, blocked):
         local = mcs_spread(g, r=97, seed=11, blocked=bl)
-        assert mcs_spread(g, r=97, seed=11, blocked=bl, spark=spark) == local
+        assert mcs_spread(g, r=97, seed=11, blocked=bl, spark=spark_jobs) == local
 
 
-def test_mcs_distributed_with_blockers(spark, toy):
-    est = mcs_spread(toy, r=400, seed=5, blocked=_blocked(toy, [5]), spark=spark)
+def test_mcs_distributed_with_blockers(spark_jobs, toy):
+    est = mcs_spread(toy, r=400, seed=5, blocked=_blocked(toy, [5]), spark=spark_jobs)
     assert est == pytest.approx(3.0)
 
 
