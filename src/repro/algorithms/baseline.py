@@ -81,7 +81,7 @@ def baseline_greedy(
                 out[i] = _mcs_partition(lg, bl, master * 1_000_003 + u, range(r)) / r
             return out
 
-        return -map_sum(kernel, len(left), len(left), g=g, spark=spark)
+        return -map_sum(kernel, len(left), g=g, spark=spark)
 
     return greedy(g, b, pool, score)
 

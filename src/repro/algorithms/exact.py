@@ -95,6 +95,6 @@ def exact_blockers(
             out[i] = shared_sample_spread(A, lg.seed, list(combos[i]))
         return out
 
-    spreads = map_sum(kernel, len(combos), len(combos), g=g, spark=spark)
+    spreads = map_sum(kernel, len(combos), g=g, spark=spark)
     best = min(range(len(combos)), key=lambda i: (spreads[i], combos[i]))
     return list(combos[best]), float(spreads[best])

@@ -69,7 +69,7 @@ def decrease_es(
     def kernel(lg, ids):
         return _delta_partition(lg, blocked, seed, ids)
 
-    return map_sum(kernel, theta, g.n, g=g, spark=spark) / theta
+    return map_sum(kernel, theta, g=g, spark=spark) / theta
 
 
 def decrease_es_exact(

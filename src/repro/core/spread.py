@@ -107,4 +107,4 @@ def mcs_spread(
     def kernel(lg, ids):
         return np.array([_mcs_partition(lg, blocked, seed, ids)], dtype=np.float64)
 
-    return float(map_sum(kernel, r, 1, g=g, spark=spark)[0] / r)
+    return float(map_sum(kernel, r, g=g, spark=spark)[0] / r)

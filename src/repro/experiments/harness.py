@@ -34,13 +34,9 @@ class Workload:
 
     def to_blocked_mask(self, blockers_orig: list[int]) -> np.ndarray:
         """Bool mask over local ids; ids absent from the merged graph
-        (unreachable, hence irrelevant) are skipped."""
-        mask = np.zeros(self.graph.n, dtype=bool)
-        lookup = {int(o): i for i, o in enumerate(self.graph.orig_ids)}
-        for o in blockers_orig:
-            i = lookup.get(int(o))
-            if i is not None and i != self.graph.seed:
-                mask[i] = True
+        (unreachable, hence irrelevant) and the seed are skipped."""
+        mask = np.isin(self.graph.orig_ids, blockers_orig)
+        mask[self.graph.seed] = False
         return mask
 
     def eval_spread(

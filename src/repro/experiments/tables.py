@@ -22,7 +22,7 @@ from repro.graphs.datasets import DATASETS, generate_edges, stats_row
 from repro.graphs.localgraph import LocalGraph
 from repro.graphs.toy import toy_local_graph
 from repro.graphs.transform import SUPER_SEED, merge_seeds
-from repro.experiments.harness import Workload, assign_model, build_workload, pick_seeds
+from repro.experiments.harness import assign_model, build_workload
 from repro.experiments.subgraphs import extract_ball, induced_edges
 
 
@@ -32,26 +32,20 @@ from repro.experiments.subgraphs import extract_ball, induced_edges
 def table3(*, theta: int = 400, seed: int = 0, spark=None) -> pd.DataFrame:
     """Blockers and their (exact) expected spreads on the Fig. 1 graph."""
     g = toy_local_graph()
-
-    def run(algo: str, b: int) -> tuple[str, float]:
-        if algo == "Greedy":
-            B = advanced_greedy(g, b, theta=theta, seed=seed, spark=spark)
-        elif algo == "OutNeighbors":
-            B = phase1_out_neighbors(g, b, theta=theta, seed=seed, spark=spark)
-        else:
-            B = greedy_replace(g, b, theta=theta, seed=seed, spark=spark)
-        blocked = np.zeros(g.n, dtype=bool)
-        blocked[B] = True
-        names = "{" + ", ".join(f"v{int(g.orig_ids[u])}" for u in B) + "}"
-        return names, round(exact_spread(g, blocked), 2)
-
+    algos = {
+        "Greedy": advanced_greedy,
+        "OutNeighbors": phase1_out_neighbors,
+        "GreedyReplace": greedy_replace,
+    }
     rows = []
-    for algo in ("Greedy", "OutNeighbors", "GreedyReplace"):
+    for algo, fn in algos.items():
         r: dict = {"Algorithm": algo}
         for b in (1, 2):
-            names, spread = run(algo, b)
-            r[f"B (b={b})"] = names
-            r[f"E (b={b})"] = spread
+            B = fn(g, b, theta=theta, seed=seed, spark=spark)
+            blocked = np.zeros(g.n, dtype=bool)
+            blocked[B] = True
+            r[f"B (b={b})"] = "{" + ", ".join(f"v{int(g.orig_ids[u])}" for u in B) + "}"
+            r[f"E (b={b})"] = round(exact_spread(g, blocked), 2)
         rows.append(r)
     return pd.DataFrame(rows)
 
@@ -115,12 +109,9 @@ def exact_vs_gr(
         start = int(rng.integers(0, n_full))
         ball = extract_ball(edges_full, n_full, start=start, n_target=n_target)
         sub = induced_edges(edges_full, ball)
-        sub_df = assign_model(
-            spark.createDataFrame(sub), model, seed=seed + si
-        )
-        sub_pdf = sub_df.toPandas()
+        sub_df = assign_model(spark.createDataFrame(sub), model, seed=seed + si)
         seeds = [int(v) for v in rng.choice(ball, size=min(n_seeds, len(ball)), replace=False)]
-        merged = merge_seeds(spark.createDataFrame(sub_pdf), seeds)
+        merged = merge_seeds(sub_df, seeds)
         g = LocalGraph.from_edges(merged, SUPER_SEED)
         A_eval = presample_adjacency(g, theta=theta_eval, seed=seed * 31 + si)
         base = len(seeds) - 1  # seeds beyond s' count 1 each
@@ -155,63 +146,6 @@ def exact_vs_gr(
 # ----------------------------------------------------------------------
 # Table VII — RA / OD / AG / GR expected-spread grid
 # ----------------------------------------------------------------------
-def table7_cell(
-    spark: SparkSession,
-    dataset: str,
-    model: str,
-    *,
-    budgets: tuple[int, ...] = (20, 40, 60, 80, 100),
-    theta: int = 200,
-    r_eval: int = 2000,
-    n_seeds: int = 10,
-    scale: float | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """One (dataset, model) block of Table VII: spreads per algorithm × b.
-
-    AG is run once at max(budgets) — its greedy selection is prefix-
-    structured, so every smaller budget is a prefix. GR's phase 1 is
-    prefix-structured too, so it also runs once at max(budgets); its
-    phase 2 (:func:`replace_blockers`) runs per budget on the prefix.
-    """
-    wl = build_workload(
-        spark, dataset, model, scale=scale, n_seeds=n_seeds, seed=seed
-    )
-    bmax = max(budgets)
-    ag_order = [
-        int(wl.graph.orig_ids[u])
-        for u in advanced_greedy(wl.graph, bmax, theta=theta, seed=seed, spark=spark)
-    ]
-    p1 = phase1_out_neighbors(
-        wl.graph, bmax, theta=theta, seed=seed, spark=spark
-    )
-    rows = []
-    for b in budgets:
-        ra = ra_blockers(wl.n_vertices, wl.seeds, b, seed=seed)
-        od = od_blockers(wl.edges, wl.seeds, b)
-        gr = [
-            int(wl.graph.orig_ids[u])
-            for u in replace_blockers(
-                wl.graph, p1[:b], theta=theta, seed=seed, spark=spark
-            )
-        ]
-        spreads = {
-            "RA": wl.eval_spread(ra, r=r_eval, seed=seed + 1, spark=spark),
-            "OD": wl.eval_spread(od, r=r_eval, seed=seed + 1, spark=spark),
-            "AG": wl.eval_spread(ag_order[:b], r=r_eval, seed=seed + 1, spark=spark),
-            "GR": wl.eval_spread(gr, r=r_eval, seed=seed + 1, spark=spark),
-        }
-        rows.append(
-            {
-                "Dataset": dataset,
-                "Model": model,
-                "b": b,
-                **{k: round(v, 3) for k, v in spreads.items()},
-            }
-        )
-    return pd.DataFrame(rows)
-
-
 def table7(
     spark: SparkSession,
     *,
@@ -224,23 +158,37 @@ def table7(
     scale: float | None = None,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Full Table VII grid (8 datasets × 2 models by default)."""
-    frames = [
-        table7_cell(
-            spark,
-            d,
-            m,
-            budgets=budgets,
-            theta=theta,
-            r_eval=r_eval,
-            n_seeds=n_seeds,
-            scale=scale,
-            seed=seed,
-        )
-        for m in models
-        for d in datasets
-    ]
-    return pd.concat(frames, ignore_index=True)
+    """Table VII grid (8 datasets × 2 models by default): spread per algorithm × b.
+
+    AG, GR's phase 1 and OD are prefix-structured, so each runs once per
+    (dataset, model) at max(budgets) and every budget takes a prefix. GR's
+    phase 2 (:func:`replace_blockers`) and RA run per budget.
+    """
+    bmax = max(budgets)
+    rows = []
+    for model in models:
+        for dataset in datasets:
+            wl = build_workload(
+                spark, dataset, model, scale=scale, n_seeds=n_seeds, seed=seed
+            )
+            g = wl.graph
+            ag = advanced_greedy(g, bmax, theta=theta, seed=seed, spark=spark)
+            p1 = phase1_out_neighbors(g, bmax, theta=theta, seed=seed, spark=spark)
+            od = od_blockers(wl.edges, wl.seeds, bmax)
+            for b in budgets:
+                gr = replace_blockers(g, p1[:b], theta=theta, seed=seed, spark=spark)
+                blockers = {
+                    "RA": ra_blockers(wl.n_vertices, wl.seeds, b, seed=seed),
+                    "OD": od[:b],
+                    "AG": g.orig_ids[ag[:b]].tolist(),
+                    "GR": g.orig_ids[gr].tolist(),
+                }
+                spreads = {
+                    k: round(wl.eval_spread(B, r=r_eval, seed=seed + 1, spark=spark), 3)
+                    for k, B in blockers.items()
+                }
+                rows.append({"Dataset": dataset, "Model": model, "b": b, **spreads})
+    return pd.DataFrame(rows)
 
 
 # ----------------------------------------------------------------------

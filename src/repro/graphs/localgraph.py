@@ -3,22 +3,22 @@
 The scaled evaluation graphs (≤ ~300k edges) fit on the driver — the unit of
 *distribution* in this reproduction is the Monte-Carlo sample, not the edge
 partition (DESIGN.md §3). ``LocalGraph`` is collected once per experiment,
-broadcast to executors, and every per-sample kernel (sampling, dominator
-trees, reachability) runs against it.
+and every per-sample kernel (sampling, dominator trees, reachability) runs
+against it; ``repro.core.runner`` broadcasts it to executors.
 
 Vertex ids are remapped to dense local ids ``0..n-1`` (the super-seed id is
 negative at the DataFrame level); ``orig_ids`` maps back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalGraph:
     """CSR adjacency with per-edge propagation probabilities.
 
@@ -37,7 +37,6 @@ class LocalGraph:
     probs: np.ndarray
     seed: int
     orig_ids: np.ndarray
-    _bc: object = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -57,18 +56,6 @@ class LocalGraph:
 
     def out_degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
-
-    def without_broadcast(self) -> "LocalGraph":
-        """Copy sans broadcast handle (what actually ships to executors)."""
-        return LocalGraph(
-            self.n, self.indptr, self.indices, self.probs, self.seed, self.orig_ids
-        )
-
-    def broadcast(self, spark):
-        """Broadcast this graph once per SparkContext; cached on the object."""
-        if self._bc is None:
-            self._bc = spark.sparkContext.broadcast(self.without_broadcast())
-        return self._bc
 
     @staticmethod
     def from_pandas(pdf: pd.DataFrame, seed_vertex: int) -> "LocalGraph":

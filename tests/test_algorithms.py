@@ -155,6 +155,11 @@ def test_od_toy(spark):
     assert od_blockers(toy_df, [1], 1) == [5]       # d_out(v5) = 4
     assert od_blockers(toy_df, [1], 3) == [5, 2, 4]  # then ties at 1 by id
     assert od_blockers(toy_df, [1, 5], 1) == [2]
+    # Prefix-structured, ties included, so Table VII runs OD once at b_max.
+    full = od_blockers(toy_df, [1], 100)
+    assert len(full) == len(set(full)) > 3
+    for b in range(len(full) + 1):
+        assert od_blockers(toy_df, [1], b) == full[:b]
 
 
 # ---------------- Exact --------------------------------------------------

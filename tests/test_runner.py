@@ -1,6 +1,7 @@
 """Tests for ``map_sum``, the one per-id kernel runner, and for the names
 the benchmark script reaches into."""
 import ast
+import dataclasses
 import importlib
 import time
 from contextlib import contextmanager
@@ -42,8 +43,8 @@ def test_integer_sums_match_driver(spark_jobs, toy):
         return out
 
     for count in _counts(spark_jobs):
-        local = map_sum(kernel, count, toy.n, g=toy)
-        dist = map_sum(kernel, count, toy.n, g=toy, spark=spark_jobs)
+        local = map_sum(kernel, count, g=toy)
+        dist = map_sum(kernel, count, g=toy, spark=spark_jobs)
         assert np.array_equal(dist, local), count
         want = sum(i * i + toy.out_degree(i % toy.n) for i in range(count))
         assert local.sum() == want
@@ -59,8 +60,8 @@ def test_written_once_values_match_driver(spark_jobs, toy):
         return out
 
     for count in _counts(spark_jobs):
-        local = map_sum(kernel, count, count, g=toy)
-        dist = map_sum(kernel, count, count, g=toy, spark=spark_jobs)
+        local = map_sum(kernel, count, g=toy)
+        dist = map_sum(kernel, count, g=toy, spark=spark_jobs)
         assert np.array_equal(dist, local), count
         assert local.shape == (count,)
 
@@ -72,7 +73,7 @@ def test_all_zero_kernel(spark_jobs, toy):
         return np.zeros(3, dtype=np.float64)
 
     for sp in (None, spark_jobs):
-        assert np.array_equal(map_sum(kernel, 5, 3, g=toy, spark=sp), np.zeros(3))
+        assert np.array_equal(map_sum(kernel, 5, g=toy, spark=sp), np.zeros(3))
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +81,10 @@ def toy_kernels(toy):
     """``(kernel, count, width)`` of one Δ, MCS, BG and Exact call on the toy graph."""
     got = []
 
-    def recording(kernel, count, width, *, g, spark=None):
-        got.append((kernel, count, width))
-        return map_sum(kernel, count, width, g=g)
+    def recording(kernel, count, *, g, spark=None):
+        out = map_sum(kernel, count, g=g)
+        got.append((kernel, count, out.size))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (decrease, spread, baseline, exact):
@@ -99,10 +101,41 @@ def toy_kernels(toy):
 def test_every_split_point_matches_driver(spark, toy, toy_kernels, name):
     """Ids ``0..k-1`` on the driver plus ``k..count-1`` as one job, for every k."""
     kernel, count, width = toy_kernels[name]
-    want = map_sum(kernel, count, width, g=toy)
+    want = map_sum(kernel, count, g=toy)
     for k in range(count + 1):
         rest = runner._spark_sum(kernel, k, count, width, g=toy, spark=spark)
-        assert np.array_equal(map_sum(kernel, k, width, g=toy) + rest, want), k
+        assert np.array_equal(map_sum(kernel, k, g=toy) + rest, want), k
+
+
+@pytest.mark.parametrize("name", ["delta", "mcs", "bg", "exact"])
+def test_zero_ids_give_zero_vector_of_kernel_width(spark, toy, toy_kernels, name):
+    """``count = 0`` still returns the kernel's ``(width,)`` shape, on either path."""
+    kernel, _, width = toy_kernels[name]
+    for sp in (None, spark):
+        assert np.array_equal(map_sum(kernel, 0, g=toy, spark=sp), np.zeros(width))
+
+
+def test_graph_is_broadcast_once_per_context(spark_jobs, toy):
+    """Jobs over one graph reuse its broadcast; a copy of the graph, or another
+    SparkContext, gets its own (a broadcast does not outlive its context)."""
+
+    def kernel(g, ids):
+        return np.array([float(len(ids) * g.n)])
+
+    sc = spark_jobs.sparkContext
+    seen = []
+    for g in (toy, dataclasses.replace(toy), toy):
+        assert map_sum(kernel, 50, g=g, spark=spark_jobs)[0] == 50 * toy.n
+        seen.append(runner._BC[sc][g])
+    assert seen[0] is seen[2] and seen[0] is not seen[1]
+
+    class OtherContext:
+        def broadcast(self, value):
+            return object()
+
+    other = OtherContext()
+    assert runner._broadcast(toy, other) is runner._broadcast(toy, other)
+    assert runner._broadcast(toy, other) is not seen[0]
 
 
 @contextmanager
@@ -141,7 +174,7 @@ def test_slow_kernel_goes_to_spark_after_first_chunk(spark, toy, monkeypatch):
         sc, "setJobDescription", lambda v: (labels.append(v), set_description(v))
     )
     with _jobs(spark, "slow kernel") as jobs:
-        got = map_sum(kernel, 200, 200, g=toy, spark=spark)
+        got = map_sum(kernel, 200, g=toy, spark=spark)
     assert on_driver == [0]
     assert jobs
     assert np.array_equal(got, np.ones(200))
@@ -156,7 +189,7 @@ def test_cheap_kernel_starts_no_job(spark, toy):
         return np.array([float(sum(ids))])
 
     with _jobs(spark, "cheap kernel") as jobs:
-        got = map_sum(kernel, 1000, 1, g=toy, spark=spark)
+        got = map_sum(kernel, 1000, g=toy, spark=spark)
     assert jobs == []
     assert got[0] == sum(range(1000))
 

@@ -8,7 +8,7 @@ from repro.experiments.tables import (
     exact_vs_gr,
     table3,
     table4,
-    table7_cell,
+    table7,
 )
 from repro.graphs.datasets import DATASETS
 from repro.graphs.toy import toy_local_graph
@@ -102,10 +102,10 @@ def test_table6_wc_shape_small(spark):
 
 @pytest.mark.parametrize("model", ["WC", "TR"])
 def test_table7_cell_shape(spark, model):
-    df = table7_cell(
+    df = table7(
         spark,
-        "EmailCore",
-        model,
+        datasets=("EmailCore",),
+        models=(model,),
         budgets=(5, 10),
         theta=150,
         r_eval=600,
