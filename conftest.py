@@ -57,17 +57,13 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so that ``spread_df``'s iterative frontier
-    joins over the tiny test graphs run as shuffle joins, the path they
-    would take on a graph too large to broadcast.
+    (shuffle partitions, Arrow, broadcast threshold) are set here, to the
+    values ``jobs/run.py`` and perfbench use, so the tests run the
+    DataFrame plans the tables run.
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -90,11 +90,7 @@ def sample_reachable(
     return verts, edges
 
 
-def sample_full(
-    g: LocalGraph,
-    rng: np.random.Generator,
-    blocked: np.ndarray | None = None,
-) -> np.ndarray:
+def sample_full(g: LocalGraph, rng: np.random.Generator) -> np.ndarray:
     """Sample *every* edge of the graph (reference implementation).
 
     Returns the kept edges as an ``(k, 2)`` array of local ids. Used by
@@ -103,10 +99,7 @@ def sample_full(
     """
     keep = rng.random(g.m) < g.probs
     src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    edges = np.stack([src[keep], g.indices[keep]], axis=1)
-    if blocked is not None:
-        edges = edges[~blocked[edges[:, 0]] & ~blocked[edges[:, 1]]]
-    return edges
+    return np.stack([src[keep], g.indices[keep]], axis=1)
 
 
 def reachable_from(n: int, edges: np.ndarray, root: int) -> np.ndarray:

@@ -13,6 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Sampling rounds after which ``powerlaw_edges`` returns the edges found.
+MAX_ROUNDS = 60
+
+
 def _zipf_weights(n: int, alpha: float) -> np.ndarray:
     """Normalized Zipf(alpha) weights over ranks 1..n."""
     w = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** alpha
@@ -26,7 +30,6 @@ def powerlaw_edges(
     alpha: float = 0.8,
     directed: bool = True,
     seed: int = 0,
-    max_rounds: int = 60,
 ) -> np.ndarray:
     """Generate a simple directed edge list with heavy-tailed degrees.
 
@@ -55,7 +58,7 @@ def powerlaw_edges(
     seen: np.ndarray = np.empty(0, dtype=np.int64)
     need = n_pairs
     chunks: list[np.ndarray] = []
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         k = int(need * 1.6) + 16
         src = perm_src[rng.choice(n, size=k, p=w)]
         dst = perm_dst[rng.choice(n, size=k, p=w)]

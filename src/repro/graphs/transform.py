@@ -1,7 +1,9 @@
-"""Graph transformations: multi-seed merging and vertex blocking.
+"""Graph transformation: multi-seed merging.
 
-All functions are DataFrame→DataFrame (Catalyst); the driver-side CSR
-snapshot lives in ``repro.graphs.localgraph``.
+``merge_seeds`` is DataFrame→DataFrame (Catalyst); the driver-side CSR
+snapshot lives in ``repro.graphs.localgraph``. Blocking is not a graph
+transformation here: the per-sample kernels take a ``blocked`` mask
+(``repro.core.sampling.sample_reachable``).
 """
 from __future__ import annotations
 
@@ -52,17 +54,3 @@ def merge_seeds(edges: DataFrame, seeds: Iterable[int]) -> DataFrame:
         )
     )
     return non_seed.select("src", "dst", "p").unionByName(merged)
-
-
-def block_vertices(edges: DataFrame, blockers: Iterable[int]) -> DataFrame:
-    """Remove blocked vertices (Definition 2 sets their incoming p to 0,
-    which is equivalent to deleting the vertex: it is never activated, so
-    its outgoing edges never fire)."""
-    blocked = [int(b) for b in blockers]
-    if not blocked:
-        return edges
-    arr = F.array(*[F.lit(b) for b in blocked])
-    return edges.where(
-        ~F.array_contains(arr, F.col("src")) & ~F.array_contains(arr, F.col("dst"))
-    )
-

@@ -1,12 +1,8 @@
-"""Tests for seed merging and vertex blocking."""
+"""Tests for seed merging."""
 import pytest
 
-from repro.graphs.toy import TOY_SEED, toy_edges_df, toy_local_graph
-from repro.graphs.transform import (
-    SUPER_SEED,
-    block_vertices,
-    merge_seeds,
-)
+from repro.graphs.toy import TOY_EDGES, TOY_EXPECTED_SPREAD, TOY_SEED, toy_edges_df
+from repro.graphs.transform import SUPER_SEED, merge_seeds
 from repro.core.spread import exact_spread
 from repro.graphs.localgraph import LocalGraph
 
@@ -75,18 +71,20 @@ def test_merge_multi_seed_spread_formula(spark):
     assert total == pytest.approx(3.5)
 
 
-def test_block_vertices_removes_incident_edges(spark, toy):
-    left = block_vertices(toy, [5])
-    rows = {(r["src"], r["dst"]) for r in left.collect()}
-    assert rows == {(1, 2), (1, 4), (9, 8), (8, 7)}
-
-
-def test_block_vertices_empty_is_noop(spark, toy):
-    assert block_vertices(toy, []).count() == toy.count()
-
-
-def test_block_then_spread_matches_paper(spark, toy):
-    """Blocking v5 on the toy graph gives E = 3 (Example 1)."""
-    g = LocalGraph.from_edges(block_vertices(toy, [5]), TOY_SEED)
-    assert exact_spread(g) == pytest.approx(3.0)
-
+@pytest.mark.parametrize(
+    "edges, seeds, n, m, expected",
+    [
+        (TOY_EDGES, [TOY_SEED, 99], 9, 10, TOY_EXPECTED_SPREAD + 1),
+        (TOY_EDGES, [7, 99], 9, 9, 2.0),
+        ([(1, 2, 0.5)], [1, 2], 1, 0, 2.0),
+    ],
+    ids=["seed-in-no-edge", "no-seed-out-edge", "only-seed-to-seed-edge"],
+)
+def test_merge_counts_every_seed_once(spark, edges, seeds, n, m, expected):
+    """Every seed is active at t=0 and counts once, with or without edges:
+    the harness's ``(|S| - 1) + E({s'})`` holds when merge_seeds drops a
+    seed from the graph or leaves s' with no out-edge."""
+    df = spark.createDataFrame(edges, ["src", "dst", "p"])
+    g = LocalGraph.from_edges(merge_seeds(df, seeds), SUPER_SEED)
+    assert (g.n, g.m) == (n, m)
+    assert (len(seeds) - 1) + exact_spread(g) == pytest.approx(expected)
